@@ -9,20 +9,13 @@ the reachable band report the best graph found instead of dying.
 import argparse
 import time
 
-import numpy as np
-
 from bgmlab.ensemble import sample_bgm
-from bgmlab.graph import GraphGenerationError, assortativity, configuration_model
+from bgmlab.graph import GraphGenerationError, assortativity, configuration_model, generator_to_graph
 
 
 def profiles(k, m, rho, seed):
-    g = sample_bgm(k, m, rho, seed=seed).g
-    d1 = np.array(g.row_weights())
-    d2 = np.zeros(m, dtype=np.int64)
-    for support in g.row_supports:
-        for j in support:
-            d2[j] += 1
-    return d1, d2
+    g = generator_to_graph(sample_bgm(k, m, rho, seed=seed).g)
+    return g.var_degrees(), g.chk_degrees()
 
 
 def main():

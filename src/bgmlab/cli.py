@@ -16,10 +16,9 @@ import numpy as np
 from . import __version__
 from .bounds import ber_lower_bound, fer_lower_bound, fer_lower_bound_approx
 from .channel import (
-    Bec,
     BpskAwgn,
-    Bsc,
     capacity,
+    channel_from_config,
     ldpc_threshold_bound,
     llr,
     partial_error_exponent,
@@ -38,8 +37,8 @@ from .ensemble import (
     save_code,
 )
 from .gf2 import bits_from_string, bits_to_string
-from .graph import GraphGenerationError, configuration_model
-from .popdyn import law_from_ensemble, popdyn_run, regular_law
+from .graph import BipartiteGraph, GraphGenerationError, configuration_model
+from .popdyn import law_from_ensemble, law_from_graph, popdyn_run, regular_law
 from .rng import fresh_seed, make_rng
 from .sim import build_code, config_from_dict, run_campaign, write_csv
 
@@ -50,16 +49,6 @@ def _resolve_seed(args) -> int:
     seed = fresh_seed()
     print(f"seed: {seed}", file=sys.stderr)
     return seed
-
-
-def _channel_from_args(kind: str, param: float):
-    if kind == "bsc":
-        return Bsc(param)
-    if kind == "bec":
-        return Bec(param)
-    if kind == "awgn":
-        return BpskAwgn(param)
-    raise ValueError(f"unknown channel {kind!r}")
 
 
 def _cmd_sample_code(args) -> int:
@@ -132,7 +121,7 @@ def _cmd_iowef(args) -> int:
 
 
 def _cmd_exponent(args) -> int:
-    ch = _channel_from_args(args.channel, args.param)
+    ch = channel_from_config({"type": args.channel, "param": args.param})
     if args.rate is None:
         print(f"capacity_bits: {capacity(ch):.8f}")
         print(f"partial_mi_bits: {partial_mutual_information(ch, args.p):.8f}")
@@ -162,7 +151,7 @@ def _cmd_graphgen(args) -> int:
     np.savetxt(args.out, g.edges, fmt="%d", header=f"{g.n_var} {g.n_chk}")
     sidecar = {
         "r_measured": built.r_measured,
-        "a_final": built.a_final,
+        "swaps": built.swaps,
         "seed": seed,
         "d1_hash": _digest(d1),
         "d2_hash": _digest(d2),
@@ -170,7 +159,7 @@ def _cmd_graphgen(args) -> int:
     with open(args.out + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
-    print(f"r_measured={built.r_measured:.4f} a_final={built.a_final:.4f}")
+    print(f"r_measured={built.r_measured:.4f} swaps={built.swaps}")
     print(f"wrote {args.out} and {args.out}.json")
     return 0
 
@@ -181,13 +170,25 @@ def _digest(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.int64).tobytes()).hexdigest()[:16]
 
 
+def _load_graph(path: str) -> BipartiteGraph:
+    """Read a graphgen edge file: header line `# n_var n_chk`, then `v c` rows."""
+    with open(path) as fh:
+        header = fh.readline().lstrip("#").split()
+    if len(header) != 2:
+        raise ValueError(f"{path}: header must read 'n_var n_chk'")
+    edges = np.loadtxt(path, dtype=np.int64, ndmin=2)
+    return BipartiteGraph(int(header[0]), int(header[1]), edges)
+
+
 def _cmd_popdyn(args) -> int:
     seed = _resolve_seed(args)
     if args.regular:
         law = regular_law(args.dv, args.dc)
+    elif args.graph is not None:
+        law = law_from_graph(_load_graph(args.graph))
     else:
-        law = law_from_ensemble(args.k, args.m, args.rho, r_star=args.r_star, a=args.a)
-    ch = _channel_from_args(args.channel, args.param)
+        law = law_from_ensemble(args.k, args.m, args.rho)
+    ch = channel_from_config({"type": args.channel, "param": args.param})
     records = popdyn_run(
         ch, law, population=args.population, iterations=args.iterations, seed=seed
     )
@@ -293,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1024)
     p.add_argument("--m", type=int, default=1024)
     p.add_argument("--rho", type=float, default=0.002)
-    p.add_argument("--r-star", type=float, default=0.0)
-    p.add_argument("--a", type=float, default=0.0)
+    p.add_argument("--graph", metavar="EDGES", default=None, help="model this graphgen output file")
     p.add_argument("--channel", choices=("bsc", "bec", "awgn"), required=True)
     p.add_argument("--param", type=float, required=True)
     p.add_argument("--population", type=int, default=100_000)

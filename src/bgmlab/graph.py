@@ -7,14 +7,17 @@ e_ij is symmetrized before the correlation is taken, so r is a single
 scalar in [-1, 1]; for degree-regular graphs the excess-degree variance
 vanishes and r is reported as NaN.
 
-Graph generation matches two prescribed degree sequences exactly while
-steering r toward a target r*: stub pairs are accepted with probability
-given by a power-law weight on the degree difference, and the exponent a
-is tuned by bisection on the measured r.
+Graph generation matches two prescribed degree sequences exactly: stubs
+are paired uniformly at random and parallel edges repaired by edge swaps.
+With the degrees fixed, r is linear in the sum over edges of d_v * d_c, so
+degree-preserving double-edge swaps (Maslov & Sneppen, Science 296, 910,
+2002; Xulvi-Brunet & Sokolov, PRE 70, 066102, 2004) steer r directly
+toward a target r*.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +30,6 @@ __all__ = [
     "DegreeStats",
     "degree_stats",
     "assortativity",
-    "joint_degree_weight",
-    "acceptance_table",
     "GraphGenerationError",
     "GraphBuildResult",
     "configuration_model",
@@ -127,201 +128,33 @@ def assortativity(g: BipartiteGraph) -> float:
     return float(np.sum(np.outer(j, j) * (st.e - outer)) / st.sigma_q2)
 
 
-def joint_degree_weight(kv, kc, a: float, kv_bar: float, kc_bar: float):
-    """Unnormalized pair weight |(kv - kv_bar) - (kc - kc_bar)|^a.
-
-    a = 0 gives the neutral all-ones weight (0^0 = 1 convention).  A zero
-    base with negative a is infinite and rejected.
-    """
-    base = np.abs((np.asarray(kv, dtype=np.float64) - kv_bar) - (np.asarray(kc, dtype=np.float64) - kc_bar))
-    if a < 0 and np.any(base == 0.0):
-        raise ValueError("zero degree-difference with negative exponent a")
-    return base**a
-
-
-def acceptance_table(
-    d1_values: np.ndarray,
-    d2_values: np.ndarray,
-    a: float,
-    kv_bar: float,
-    kc_bar: float,
-    assortative: bool,
-) -> np.ndarray:
-    """Acceptance probability per (variable degree, check degree) pair.
-
-    Weights are normalized to [0, 1] by their maximum over the realized
-    degree supports; the assortative branch takes the complement 1 - w.
-    """
-    w = joint_degree_weight(
-        d1_values[:, None], d2_values[None, :], a, kv_bar, kc_bar
-    )
-    peak = w.max()
-    w = w / peak if peak > 0 else np.ones_like(w)
-    return 1.0 - w if assortative else w
-
-
 class GraphGenerationError(RuntimeError):
-    """Raised when the bracket exhausts; carries the closest build achieved."""
+    """Raised when no graph meets the request; carries the closest build."""
 
     def __init__(
         self,
         message: str,
         best_r: float | None = None,
-        best_a: float | None = None,
         best_result: "GraphBuildResult | None" = None,
     ):
         super().__init__(message)
         self.best_r = best_r
-        self.best_a = best_a
         self.best_result = best_result
-
-
-class _Starved(Exception):
-    pass
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 @dataclass
 class GraphBuildResult:
     graph: BipartiteGraph
     r_measured: float
-    a_final: float
-    bisections: int
-    restarts: int
+    swaps: int
 
 
-_BATCH = 8192
+# proposals allowed per edge, shared by parallel-edge repair and rewiring
+_PROPOSALS_PER_EDGE = 200
+_DRAW_BATCH = 4096
 
 
-def _match_stubs(
-    d1: np.ndarray,
-    d2: np.ndarray,
-    accept: np.ndarray,
-    deg_index1: np.ndarray,
-    deg_index2: np.ndarray,
-    t_max: int,
-    rng: np.random.Generator,
-    max_restarts: int,
-    budget: list[int] | None = None,
-) -> tuple[np.ndarray, int]:
-    """Pair stubs under the acceptance table; restart on starvation.
-
-    Proposals are drawn and acceptance-tested in vectorized batches against
-    a snapshot of the live stub arrays.  A stub's degree never changes, so
-    the batched test is exact for any slot untouched since the snapshot.
-    Slots consumed earlier in the same batch are void draws: they are
-    skipped without counting toward t_max, because a serial sampler would
-    never have proposed them.  Only acceptance-law rejections and live
-    parallel-edge collisions count as consecutive failures.  The batch is
-    capped at a small multiple of the live stub count so void draws stay
-    rare near the end of the matching.
-
-    `budget`, when given, is a single-element list holding the number of
-    proposals still allowed across the whole generation call; it is
-    decremented here and _BudgetExhausted is raised once it runs out,
-    keeping total work deterministic for a given seed.
-
-    Returns (edges, restarts_used).  Raises _Starved when max_restarts
-    whole-graph restarts all hit t_max consecutive failed draws.
-    """
-    n_chk = d2.size
-    stub_v = np.repeat(np.arange(d1.size, dtype=np.int64), d1)
-    stub_c = np.repeat(np.arange(n_chk, dtype=np.int64), d2)
-    m = stub_v.size
-    restarts = 0
-    while True:
-        s1 = stub_v.copy()
-        s2 = stub_c.copy()
-        n1 = n2 = m
-        taken: set[int] = set()
-        edges = np.empty((m, 2), dtype=np.int64)
-        n_done = 0
-        fails = 0
-        starved = False
-        while n1 > 0 and not starved:
-            batch = int(min(_BATCH, max(512, 8 * n1)))
-            if budget is not None:
-                if budget[0] <= 0:
-                    raise _BudgetExhausted()
-                budget[0] -= batch
-            i1 = rng.integers(0, n1, size=batch)
-            i2 = rng.integers(0, n2, size=batch)
-            ua = rng.random(batch)
-            v_cand = s1[i1]
-            c_cand = s2[i2]
-            hits = np.nonzero(ua < accept[deg_index1[v_cand], deg_index2[c_cand]])[0]
-            pos_prev = -1
-            for t in hits.tolist():
-                fails += t - pos_prev - 1
-                pos_prev = t
-                if fails >= t_max:
-                    starved = True
-                    break
-                a_idx = int(i1[t])
-                b_idx = int(i2[t])
-                v = int(v_cand[t])
-                c = int(c_cand[t])
-                # slot consumed since the snapshot: void draw, not a failure
-                if a_idx >= n1 or b_idx >= n2 or s1[a_idx] != v or s2[b_idx] != c:
-                    continue
-                if v * n_chk + c in taken:
-                    fails += 1
-                    continue
-                taken.add(v * n_chk + c)
-                edges[n_done, 0] = v
-                edges[n_done, 1] = c
-                n_done += 1
-                n1 -= 1
-                s1[a_idx] = s1[n1]
-                n2 -= 1
-                s2[b_idx] = s2[n2]
-                fails = 0
-                if n1 == 0:
-                    break
-            else:
-                fails += batch - pos_prev - 1
-                if fails >= t_max:
-                    starved = True
-        if not starved:
-            return edges[:n_done].copy(), restarts
-        restarts += 1
-        if restarts > max_restarts:
-            raise _Starved()
-
-
-def configuration_model(
-    d1,
-    d2,
-    r_star: float,
-    epsilon: float = 0.02,
-    a_bracket: tuple[float, float] | None = None,
-    t_max: int | None = None,
-    seed: int = 0,
-    max_restarts: int = 60,
-    max_bisections: int = 40,
-    candidate_proposals: int = 50_000_000,
-    max_proposals: int = 600_000_000,
-) -> GraphBuildResult:
-    """Degree-exact bipartite graph with assortativity steered to r_star.
-
-    Bisection on the law exponent a: each candidate builds one graph by
-    randomized stub matching with per-pair acceptance probabilities, then
-    the measured r moves the bracket (r decreases as a grows, for both the
-    disassortative law and its complement).  Positive r_star requires equal
-    degree profiles on both sides.
-
-    Work is capped deterministically by proposal counts rather than wall
-    time: a candidate a that burns through candidate_proposals without
-    completing a graph is treated as starved (the bracket moves toward
-    neutral), and the call as a whole stops at max_proposals.  Strongly
-    tilted targets can be genuinely unreachable because the pair law
-    assigns zero weight to equal centered degrees, so heavily tilted
-    matchings rarely complete; the budgets turn that into a clean
-    GraphGenerationError carrying the best build achieved.
-    """
+def _checked_sequences(d1, d2) -> tuple[np.ndarray, np.ndarray]:
     d1 = np.asarray(d1, dtype=np.int64)
     d2 = np.asarray(d2, dtype=np.int64)
     if d1.min() < 0 or d2.min() < 0:
@@ -330,129 +163,130 @@ def configuration_model(
         raise ValueError(f"stub mismatch: sum(d1)={d1.sum()} != sum(d2)={d2.sum()}")
     if d1.sum() == 0:
         raise ValueError("empty degree sequences")
+    return d1, d2
+
+
+def _admits_simple_graph(d1: np.ndarray, d2: np.ndarray) -> bool:
+    """Gale-Ryser: the k largest d1 fit into sum_j min(d2_j, k), for every k."""
+    a = np.sort(d1)[::-1]
+    at_least = np.cumsum(np.bincount(d2, minlength=a.size + 1)[::-1])[::-1]
+    return bool(np.all(np.cumsum(a) <= np.cumsum(at_least[1 : a.size + 1])))
+
+
+def _proposals(rng: np.random.Generator, m_edges: int):
+    """Random edge index pairs, drawn in batches, up to the proposal budget."""
+    for _ in range(0, _PROPOSALS_PER_EDGE * m_edges, _DRAW_BATCH):
+        yield from rng.integers(0, m_edges, size=(_DRAW_BATCH, 2)).tolist()
+
+
+def sample_neutral_graph(d1, d2, seed: int = 0) -> BipartiteGraph:
+    """Uniform stub pairing with parallel edges repaired by edge swaps.
+
+    Sequences that admit no simple bipartite graph are rejected before any
+    sampling.  Each parallel edge then trades its check end with a random
+    edge, one swap at a time, whenever its new edge is not yet in the graph.
+    The partner's new edge may itself be a duplicate, which is then repaired
+    in turn, so no swap adds a duplicate and both degree sequences are kept.
+    """
+    d1, d2 = _checked_sequences(d1, d2)
+    if not _admits_simple_graph(d1, d2):
+        raise GraphGenerationError("the degree sequences admit no simple bipartite graph")
+    rng = make_rng(seed, "configuration-model")
+    n_chk = d2.size
+    v = np.repeat(np.arange(d1.size, dtype=np.int64), d1).tolist()
+    c = rng.permutation(np.repeat(np.arange(n_chk, dtype=np.int64), d2)).tolist()
+    count = Counter(vi * n_chk + ci for vi, ci in zip(v, c))
+    dups = [i for i in range(len(v)) if count[v[i] * n_chk + c[i]] > 1]
+    proposals = _proposals(rng, len(v))
+    while dups:
+        i = dups.pop()
+        if count[v[i] * n_chk + c[i]] == 1:  # its twin was repaired first
+            continue
+        for _, j in proposals:
+            if v[j] != v[i] and count[v[i] * n_chk + c[j]] == 0:
+                break
+        else:
+            raise GraphGenerationError("parallel-edge repair ran out of proposals")
+        count[v[i] * n_chk + c[i]] -= 1
+        count[v[j] * n_chk + c[j]] -= 1
+        c[i], c[j] = c[j], c[i]
+        count[v[i] * n_chk + c[i]] += 1
+        count[v[j] * n_chk + c[j]] += 1
+        if count[v[j] * n_chk + c[j]] > 1:
+            dups.append(j)
+    return BipartiteGraph(d1.size, n_chk, np.column_stack([v, c]))
+
+
+def configuration_model(
+    d1,
+    d2,
+    r_star: float,
+    epsilon: float = 0.02,
+    seed: int = 0,
+) -> GraphBuildResult:
+    """Degree-exact bipartite graph with assortativity steered to r_star.
+
+    Starts from sample_neutral_graph and rewires it by double-edge swaps
+    (v1,c1),(v2,c2) -> (v1,c2),(v2,c1), which keep every degree.  With the
+    degree sequences fixed, r is linear in S = sum over edges of d_v * d_c,
+    and a swap changes S by (d_v1 - d_v2)(d_c2 - d_c1), so the target is
+    S* = M (r* sigma_q^2 + mu_q^2) over the pooled edge-perspective law q.
+    A swap is accepted only when it moves S strictly closer to S* and
+    creates no parallel edge.
+
+    The search stops once |r - r*| <= epsilon / 2, not epsilon: aiming at
+    the middle of the band leaves margin for callers that check the result
+    against epsilon.  Proposals are capped at a fixed multiple of the edge
+    count.  A graph that ends within epsilon is still returned; otherwise
+    GraphGenerationError carries the final graph, which is the best one
+    because the search is monotone in |S - S*|.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    assortative = r_star > 0.0
-    if assortative and sorted(d1.tolist()) != sorted(d2.tolist()):
-        raise ValueError(
-            "positive r_star needs equal degree profiles on both sides; "
-            "the law complement cannot overcome unequal profiles"
-        )
-    m_edges = int(d1.sum())
-    if t_max is None:
-        t_max = 10 * m_edges
-    if a_bracket is None:
-        # the complement law is degenerate at a = 0 (all-zero acceptance)
-        a_bracket = (0.05, 6.0) if assortative else (0.0, 6.0)
-    a1, a2 = float(a_bracket[0]), float(a_bracket[1])
+    g = sample_neutral_graph(d1, d2, seed)
+    st = degree_stats(g)
+    if st.sigma_q2 <= 0.0:
+        raise GraphGenerationError("assortativity is undefined when every node has the same degree")
+    j = np.arange(st.q.size)
+    mu_q = float((j * st.q).sum())
+    m_edges = g.m_edges
+    s_target = m_edges * (r_star * st.sigma_q2 + mu_q**2)
+    tol = m_edges * st.sigma_q2 * epsilon / 2
 
-    d1_values = np.unique(d1)
-    d2_values = np.unique(d2)
-    deg_index1 = np.searchsorted(d1_values, d1)
-    deg_index2 = np.searchsorted(d2_values, d2)
-    kv_bar = float(d1.mean())
-    kc_bar = float(d2.mean())
-
-    rng = make_rng(seed, "configuration-model")
-
-    best_r = None
-    best_a = None
-    best_result = None
-    restarts_total = 0
-    remaining = max_proposals
-    for iteration in range(1, max_bisections + 1):
-        a = 0.5 * (a1 + a2)
-        accept = acceptance_table(d1_values, d2_values, a, kv_bar, kc_bar, assortative)
-        cand = [min(candidate_proposals, remaining)]
-        cand_start = cand[0]
-        starved = False
-        try:
-            edges, restarts = _match_stubs(
-                d1, d2, accept, deg_index1, deg_index2, t_max, rng, max_restarts, cand
-            )
-        except (_Starved, _BudgetExhausted):
-            starved = True
-        remaining -= cand_start - cand[0]
-        if starved:
-            if remaining <= 0:
-                raise GraphGenerationError(
-                    f"proposal budget {max_proposals} exhausted at a={a:.6g} "
-                    f"without reaching r*={r_star} +/- {epsilon}; best r={best_r}",
-                    best_r=best_r,
-                    best_a=best_a,
-                    best_result=best_result,
-                ) from None
-            # over-restrictive acceptance at this a: overshoot past the
-            # target, so pull the candidate back toward neutral
-            if assortative:
-                a1 = a
-            else:
-                a2 = a
-            if a2 - a1 < 1e-12:
-                raise GraphGenerationError(
-                    f"stub matching starved at a={a:.6g} and the bracket collapsed",
-                    best_r=best_r,
-                    best_a=best_a,
-                    best_result=best_result,
-                )
-            continue
-        restarts_total += restarts
-        graph = BipartiteGraph(d1.size, d2.size, edges)
-        r_meas = assortativity(graph)
-        if best_r is None or abs(r_meas - r_star) < abs(best_r - r_star):
-            best_r = r_meas
-            best_a = a
-            best_result = GraphBuildResult(graph, r_meas, a, iteration, restarts_total)
-        if abs(r_meas - r_star) <= epsilon:
-            return GraphBuildResult(graph, r_meas, a, iteration, restarts_total)
-        # r responds monotonically downward in a for both law branches
-        if r_meas > r_star:
-            a1 = a
-        else:
-            a2 = a
-        if a2 - a1 < 1e-12:
+    n_chk = g.n_chk
+    v = g.edges[:, 0].tolist()
+    c = g.edges[:, 1].tolist()
+    kv = g.var_degrees().tolist()
+    kc = g.chk_degrees().tolist()
+    keys = {vi * n_chk + ci for vi, ci in zip(v, c)}
+    s = sum(kv[vi] * kc[ci] for vi, ci in zip(v, c))
+    swaps = 0
+    rng = make_rng(seed, "configuration-model", "rewire")
+    for a, b in _proposals(rng, m_edges):
+        if abs(s - s_target) <= tol:
             break
-    raise GraphGenerationError(
-        f"bracket exhausted without reaching r*={r_star} +/- {epsilon}; "
-        f"best r={best_r}",
-        best_r=best_r,
-        best_a=best_a,
-        best_result=best_result,
-    )
-
-
-def sample_neutral_graph(d1, d2, seed: int = 0, t_max: int | None = None) -> BipartiteGraph:
-    """Plain configuration-model graph (a forced to 0, every pair accepted)."""
-    d1 = np.asarray(d1, dtype=np.int64)
-    d2 = np.asarray(d2, dtype=np.int64)
-    if d1.sum() != d2.sum():
-        raise ValueError(f"stub mismatch: sum(d1)={d1.sum()} != sum(d2)={d2.sum()}")
-    m_edges = int(d1.sum())
-    if m_edges == 0:
-        raise ValueError("empty degree sequences")
-    if t_max is None:
-        t_max = 10 * m_edges
-    d1_values = np.unique(d1)
-    d2_values = np.unique(d2)
-    accept = np.ones((d1_values.size, d2_values.size))
-    rng = make_rng(seed, "configuration-model")
-    try:
-        edges, _ = _match_stubs(
-            d1,
-            d2,
-            accept,
-            np.searchsorted(d1_values, d1),
-            np.searchsorted(d2_values, d2),
-            t_max,
-            rng,
-            max_restarts=50,
-        )
-    except _Starved:
+        v1, c1, v2, c2 = v[a], c[a], v[b], c[b]
+        s_new = s + (kv[v1] - kv[v2]) * (kc[c2] - kc[c1])
+        if abs(s_new - s_target) >= abs(s - s_target):
+            continue
+        new_a, new_b = v1 * n_chk + c2, v2 * n_chk + c1
+        if new_a in keys or new_b in keys:
+            continue
+        keys.difference_update((v1 * n_chk + c1, v2 * n_chk + c2))
+        keys.update((new_a, new_b))
+        c[a], c[b] = c2, c1
+        s = s_new
+        swaps += 1
+    graph = BipartiteGraph(g.n_var, n_chk, np.column_stack([v, c]))
+    result = GraphBuildResult(graph, assortativity(graph), swaps)
+    if abs(result.r_measured - r_star) > epsilon:
         raise GraphGenerationError(
-            "stub matching kept dead-ending on parallel edges; the degree "
-            "sequences may not admit a simple bipartite graph"
-        ) from None
-    return BipartiteGraph(d1.size, d2.size, edges)
+            f"rewiring ran out of proposals before reaching r*={r_star} +/- {epsilon}; "
+            f"best r={result.r_measured:.4f}",
+            best_r=result.r_measured,
+            best_result=result,
+        )
+    return result
 
 
 def graph_to_generator(g: BipartiteGraph) -> BitMatrix:

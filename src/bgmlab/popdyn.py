@@ -19,18 +19,17 @@ import numpy as np
 from scipy.stats import binom
 
 from .channel import Channel, llr, transmit
-from .graph import acceptance_table
+from .decode import _ATANH_LIMIT
 from .rng import make_rng
 
 __all__ = [
     "EdgeDegreeLaw",
     "regular_law",
     "law_from_ensemble",
+    "law_from_graph",
     "PopdynRecord",
     "popdyn_run",
 ]
-
-_ATANH_LIMIT = 1.0 - 1e-14
 
 
 @dataclass(eq=False)
@@ -98,24 +97,14 @@ def _truncated_binomial(n: int, p: float, mass_tol: float) -> tuple[np.ndarray, 
     return support[keep], pmf[keep]
 
 
-def law_from_ensemble(
-    k: int,
-    m: int,
-    rho: float,
-    r_star: float = 0.0,
-    a: float = 0.0,
-    mass_tol: float = 1e-9,
-    ipf_tol: float = 1e-12,
-) -> EdgeDegreeLaw:
-    """Joint degree law of the Bernoulli ensemble reshaped by the pair weight.
+def law_from_ensemble(k: int, m: int, rho: float, mass_tol: float = 1e-9) -> EdgeDegreeLaw:
+    """Product joint degree law of the Bernoulli ensemble.
 
     Variable degrees follow Binomial(m, rho); graph-side check degrees
     follow Binomial(k, rho), shifted by one here because the parity
-    attachment occupies a slot on every check.  The degree-difference law
-    with exponent `a` (complemented for positive r_star) reweights the
-    joint, and iterative proportional fitting restores both edge-perspective
-    marginals, mirroring the generator which preserves degree sequences
-    exactly.  a = 0 returns the plain product law.
+    attachment occupies a slot on every check.  Degrees with pmf below
+    mass_tol are dropped.  A degree-correlated law comes from a built graph
+    through law_from_graph.
     """
     wv, pv = _truncated_binomial(m, rho, mass_tol)
     dv_mask = wv >= 1
@@ -125,31 +114,30 @@ def law_from_ensemble(
     dcg, pc = dcg[dc_mask], pc[dc_mask]
     if wv.size == 0 or dcg.size == 0:
         raise ValueError("degree supports vanished; loosen mass_tol")
-
-    q_v = wv * pv
-    q_v = q_v / q_v.sum()
-    q_c = dcg * pc
-    q_c = q_c / q_c.sum()
-
-    weight = acceptance_table(
-        wv, dcg, a, kv_bar=m * rho, kc_bar=k * rho, assortative=r_star > 0.0
-    )
-    kernel = np.outer(q_v, q_c) * weight
-    if np.any(kernel.sum(axis=1) <= 0) or np.any(kernel.sum(axis=0) <= 0):
-        raise ValueError("pair weight zeroes out an entire degree class")
-    joint = kernel / kernel.sum()
-    for _ in range(2000):
-        joint *= (q_v / joint.sum(axis=1))[:, None]
-        joint *= (q_c / joint.sum(axis=0))[None, :]
-        if (
-            np.abs(joint.sum(axis=1) - q_v).max() < ipf_tol
-            and np.abs(joint.sum(axis=0) - q_c).max() < ipf_tol
-        ):
-            break
-
     return EdgeDegreeLaw(
         var_degrees=wv,
         chk_degrees=dcg + 1,
+        joint=np.outer(wv * pv, dcg * pc),
+        parity_attached=True,
+    )
+
+
+def law_from_graph(g) -> EdgeDegreeLaw:
+    """Joint degree law of a built normal graph (a bgmlab.graph.BipartiteGraph).
+
+    Counts the graph's edges by (variable degree, check degree + 1), the one
+    counting the parity slot, so density evolution models the exact graph
+    that is simulated, degree correlation included.
+    """
+    dv = g.var_degrees()[g.edges[:, 0]]
+    dc = g.chk_degrees()[g.edges[:, 1]] + 1
+    var_degrees, iv = np.unique(dv, return_inverse=True)
+    chk_degrees, ic = np.unique(dc, return_inverse=True)
+    joint = np.zeros((var_degrees.size, chk_degrees.size))
+    np.add.at(joint, (iv, ic), 1.0)
+    return EdgeDegreeLaw(
+        var_degrees=var_degrees,
+        chk_degrees=chk_degrees,
         joint=joint,
         parity_attached=True,
     )
@@ -218,7 +206,7 @@ def popdyn_run(
     rate from full-degree posteriors.
     """
     if population < 1 or iterations < 0:
-        raise ValueError("population and iterations must be positive")
+        raise ValueError("population must be positive and iterations non-negative")
     rng = make_rng(seed, "popdyn")
     nv = law.var_degrees.size
     nc = law.chk_degrees.size

@@ -1,11 +1,14 @@
 """Command line subcommands: wiring, exit codes, seed logging, determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bgmlab
 from bgmlab import __version__
 from bgmlab.bounds import qfunc
 from bgmlab.cli import main
@@ -133,6 +136,7 @@ class TestGraphgen:
             sidecar = json.load(fh)
         assert sidecar["seed"] == 4
         assert abs(sidecar["r_measured"]) <= 0.3
+        assert sidecar["swaps"] >= 0
 
     def test_unreachable_profile_exits_one(self, capsys, tmp_path):
         d1 = tmp_path / "var.txt"
@@ -161,6 +165,34 @@ class TestPopdynCommand:
         assert len(lines) == 4
         rates = [float(line.split(",")[1]) for line in lines[1:]]
         assert rates[-1] <= rates[0]
+
+    def test_law_from_graphgen_output(self, capsys, tmp_path):
+        d1 = tmp_path / "var.txt"
+        d2 = tmp_path / "chk.txt"
+        d1.write_text("\n".join(["2"] * 20 + ["4"] * 20))
+        d2.write_text("\n".join(["3"] * 20 + ["6"] * 10))
+        graph = str(tmp_path / "graph.txt")
+        code, _, _ = run_cli(
+            capsys, "graphgen", "--var-degrees", str(d1), "--chk-degrees", str(d2),
+            "--r-star", "-0.3", "--seed", "2", "--out", graph,
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "popdyn", "--graph", graph, "--channel", "bec", "--param", "0.2",
+            "--population", "2000", "--iterations", "3", "--seed", "1",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
+
+    def test_graph_file_without_header_exits_two(self, capsys, tmp_path):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("0 0\n1 1\n")
+        code, _, err = run_cli(
+            capsys, "popdyn", "--graph", str(graph), "--channel", "bec", "--param", "0.2",
+            "--population", "200", "--iterations", "1", "--seed", "1",
+        )
+        assert code == 2
+        assert "error:" in err
 
 
 class TestConcatSimCommand:
@@ -209,9 +241,11 @@ class TestParserEdges:
         assert exc.value.code == 2
 
     def test_console_entry_point(self):
+        # the child imports the same bgmlab as this process, installed or not
+        env = {**os.environ, "PYTHONPATH": str(Path(bgmlab.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-m", "bgmlab.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout

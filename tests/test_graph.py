@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
+from bgmlab.ensemble import sample_bgm
 from bgmlab.gf2 import BitMatrix
 from bgmlab.graph import (
     BipartiteGraph,
     GraphGenerationError,
-    acceptance_table,
     assortativity,
     configuration_model,
     degree_stats,
     generator_to_graph,
     graph_to_generator,
-    joint_degree_weight,
     sample_neutral_graph,
 )
 from bgmlab.rng import make_rng
@@ -27,6 +26,11 @@ def complete_bipartite(n1, n2):
 
 def binomial_profile(n, p, seed, tag="prof"):
     return np.maximum(make_rng(seed, tag).binomial(n, p, size=n), 1)
+
+
+def criterion6_profiles():
+    g = generator_to_graph(sample_bgm(1024, 1024, 0.01, seed=5).g)
+    return g.var_degrees(), g.chk_degrees()
 
 
 class TestBipartiteGraph:
@@ -123,32 +127,24 @@ class TestAssortativity:
         assert count > 900
 
 
-class TestJointDegreeWeight:
-    def test_zero_at_equal_centered_degrees(self):
-        assert joint_degree_weight(7, 5, 2.0, 4.0, 2.0) == 0.0
+class TestSampleNeutralGraph:
+    def test_infeasible_sequences_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*key):
+            raise AssertionError("sampling started")
 
-    def test_neutral_exponent(self):
-        assert joint_degree_weight(9, 3, 0.0, 5.0, 5.0) == 1.0
-        assert joint_degree_weight(5.0, 5.0, 0.0, 5.0, 5.0) == 1.0
+        monkeypatch.setattr("bgmlab.graph.make_rng", no_sampling)
+        # a degree-3 variable needs three distinct checks; only two exist
+        with pytest.raises(GraphGenerationError):
+            sample_neutral_graph([3, 1], [2, 2])
 
-    def test_worked_power_law_value(self):
-        value = joint_degree_weight(20, 5, 2.6, 10.24, 10.24)
-        assert value == pytest.approx(15.0**2.6, rel=1e-14)
-
-    def test_zero_base_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            joint_degree_weight(6, 4, -1.0, 4.0, 2.0)
-
-    def test_acceptance_table_ranges(self):
-        d1v = np.array([1, 2, 5, 9])
-        d2v = np.array([1, 3, 8])
-        for assortative in (False, True):
-            table = acceptance_table(d1v, d2v, 1.7, 4.0, 4.0, assortative)
-            assert table.shape == (4, 3)
-            assert np.all(table >= 0.0) and np.all(table <= 1.0)
-        dis = acceptance_table(d1v, d2v, 1.7, 4.0, 4.0, False)
-        asr = acceptance_table(d1v, d2v, 1.7, 4.0, 4.0, True)
-        assert dis + asr == pytest.approx(np.ones((4, 3)), abs=1e-12)
+    def test_repair_reaches_the_only_simple_graph(self):
+        # K_{4,4} is the only simple realization, so nearly every pairing
+        # starts with parallel edges and the repair must keep all degrees
+        for seed in range(20):
+            g = sample_neutral_graph([4] * 4, [4] * 4, seed=seed)
+            assert g.m_edges == 16
+            assert np.array_equal(g.var_degrees(), [4] * 4)
+            assert np.array_equal(g.chk_degrees(), [4] * 4)
 
 
 class TestConfigurationModel:
@@ -176,41 +172,36 @@ class TestConfigurationModel:
         g = sample_neutral_graph(prof, prof, seed=2)
         assert abs(assortativity(g)) <= 0.08
 
-    def test_monotone_response_in_exponent(self):
-        # the bisection is sound only if r falls as a grows; average over
-        # seeds at three pinned exponents on the disassortative law
-        prof = binomial_profile(150, 0.03, 9, "monotone")
-        means = []
-        for a in (0.3, 0.7, 1.0):
-            rs = []
-            for seed in range(10):
-                res = configuration_model(
-                    prof, prof, r_star=0.0, epsilon=5.0, a_bracket=(a, a), seed=seed
-                )
-                rs.append(res.r_measured)
-            means.append(np.mean(rs))
-        assert means[0] > means[1] > means[2]
-
     def test_stub_imbalance_rejected(self):
         with pytest.raises(ValueError):
             configuration_model([2, 2], [3], r_star=-0.2, epsilon=0.1)
 
-    def test_positive_target_needs_equal_profiles(self):
-        with pytest.raises(ValueError):
-            configuration_model([2, 2, 1], [3, 2], r_star=0.3, epsilon=0.1)
+    def test_equal_degrees_everywhere_rejected(self):
+        # r is undefined (NaN) when every node has the same degree
+        with pytest.raises(GraphGenerationError):
+            configuration_model([2] * 4, [2] * 4, r_star=-0.2)
+
+    def test_unequal_profiles_reach_positive_target(self):
+        d1, d2 = criterion6_profiles()
+        res = configuration_model(d1, d2, r_star=0.2, epsilon=0.02, seed=0)
+        assert abs(res.r_measured - 0.2) <= 0.02
+        assert np.array_equal(res.graph.var_degrees(), d1)
+        assert np.array_equal(res.graph.chk_degrees(), d2)
+
+    @pytest.mark.parametrize("seed", (0, 10))
+    @pytest.mark.parametrize("r_star", (-0.5, -0.3))
+    def test_criterion6_profile_reaches_disassortative_targets(self, r_star, seed):
+        d1, d2 = criterion6_profiles()
+        res = configuration_model(d1, d2, r_star, epsilon=0.02, seed=seed)
+        assert abs(res.r_measured - r_star) <= 0.02
+        assert res.r_measured == assortativity(res.graph)
+        assert np.array_equal(res.graph.var_degrees(), d1)
+        assert np.array_equal(res.graph.chk_degrees(), d2)
 
     def test_unreachable_target_carries_best_build(self):
         prof = binomial_profile(240, 0.02, 3, "smallprof")
         with pytest.raises(GraphGenerationError) as err:
-            configuration_model(
-                prof,
-                prof,
-                r_star=-0.9,
-                epsilon=0.02,
-                seed=1,
-                candidate_proposals=400_000,
-                max_proposals=4_000_000,
-            )
+            configuration_model(prof, prof, r_star=-1.0, epsilon=0.02, seed=1)
         assert err.value.best_result is not None
         assert err.value.best_r == err.value.best_result.r_measured
         assert np.array_equal(err.value.best_result.graph.var_degrees(), prof)

@@ -5,7 +5,15 @@ import pytest
 from scipy.stats import binom
 
 from bgmlab.channel import Bec, BpskAwgn
-from bgmlab.popdyn import EdgeDegreeLaw, law_from_ensemble, popdyn_run, regular_law
+from bgmlab.ensemble import sample_bgm
+from bgmlab.graph import BipartiteGraph, configuration_model, generator_to_graph
+from bgmlab.popdyn import (
+    EdgeDegreeLaw,
+    law_from_ensemble,
+    law_from_graph,
+    popdyn_run,
+    regular_law,
+)
 
 
 def law_correlation(law):
@@ -19,9 +27,18 @@ def law_correlation(law):
     return cov / (sv * sc)
 
 
+def graph_law(r_star, k=256, rho=0.04):
+    """Joint law of a graph built at r_star over a sampled BGM profile."""
+    profile = generator_to_graph(sample_bgm(k, k, rho, seed=1).g)
+    built = configuration_model(
+        profile.var_degrees(), profile.chk_degrees(), r_star, epsilon=0.05, seed=0
+    )
+    return law_from_graph(built.graph)
+
+
 class TestEdgeDegreeLaw:
     def test_conditionals_normalized(self):
-        law = law_from_ensemble(256, 256, 0.03, r_star=-0.3, a=1.5)
+        law = graph_law(-0.3)
         np.testing.assert_allclose(law.cond_c_given_v.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(law.cond_v_given_c.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(law.joint.sum(), 1.0, atol=1e-12)
@@ -51,8 +68,8 @@ class TestEdgeDegreeLaw:
 
 
 class TestLawFromEnsemble:
-    def test_neutral_exponent_gives_product_law(self):
-        law = law_from_ensemble(128, 128, 0.05, r_star=0.0, a=0.0)
+    def test_gives_product_law(self):
+        law = law_from_ensemble(128, 128, 0.05)
         np.testing.assert_allclose(
             law.joint, np.outer(law.q_v, law.q_c), atol=1e-12
         )
@@ -61,7 +78,7 @@ class TestLawFromEnsemble:
     def test_marginals_match_excess_weighted_binomials(self):
         k = m = 512
         rho = 0.02
-        law = law_from_ensemble(k, m, rho, r_star=-0.4, a=2.0)
+        law = law_from_ensemble(k, m, rho)
         support = np.arange(m + 1)
         pmf = binom.pmf(support, m, rho)
         keep = (pmf >= 1e-9) & (support >= 1)
@@ -72,15 +89,22 @@ class TestLawFromEnsemble:
         np.testing.assert_allclose(law.chk_degrees, support[keep] + 1)
         np.testing.assert_allclose(law.joint.sum(axis=0), q_v, atol=1e-6)
 
-    def test_disassortative_constants_build_and_tilt_negative(self):
-        # mean variable degree 10.24 at design rate one half
-        law = law_from_ensemble(1024, 1024, 0.01, r_star=-0.5, a=2.6)
-        assert law.parity_attached
-        assert law_correlation(law) < -0.2
 
-    def test_assortative_complement_tilts_positive(self):
-        law = law_from_ensemble(1024, 1024, 0.01, r_star=0.5, a=2.6)
-        assert law_correlation(law) > 0.0
+class TestLawFromGraph:
+    def test_hand_count(self):
+        # edges (v0,c0), (v1,c0), (v1,c1): variable degrees 1, 2 and check
+        # degrees 2, 1, each check counting one more for its parity slot
+        law = law_from_graph(BipartiteGraph(2, 2, [(0, 0), (1, 0), (1, 1)]))
+        assert law.parity_attached
+        np.testing.assert_array_equal(law.var_degrees, [1, 2])
+        np.testing.assert_array_equal(law.chk_degrees, [2, 3])
+        np.testing.assert_allclose(law.joint, [[0, 1 / 3], [1 / 3, 1 / 3]], atol=1e-15)
+
+    def test_disassortative_graph_tilts_negative(self):
+        assert law_correlation(graph_law(-0.5)) < -0.2
+
+    def test_assortative_graph_tilts_positive(self):
+        assert law_correlation(graph_law(0.5)) > 0.2
 
 
 class TestPopdynRun:
@@ -116,7 +140,7 @@ class TestPopdynRun:
                 assert after - before < 3.0 / np.sqrt(n)
 
     def test_deterministic_per_seed(self):
-        law = law_from_ensemble(64, 64, 0.06, r_star=-0.3, a=1.3)
+        law = graph_law(-0.3, k=64, rho=0.06)
         ch = BpskAwgn(0.9)
         a = popdyn_run(ch, law, population=3000, iterations=4, seed=11)
         b = popdyn_run(ch, law, population=3000, iterations=4, seed=11)
@@ -125,7 +149,7 @@ class TestPopdynRun:
         assert a != c
 
     def test_correlated_law_runs_and_improves(self):
-        law = law_from_ensemble(256, 256, 0.04, r_star=-0.5, a=2.6)
+        law = graph_law(-0.5)
         records = popdyn_run(
             BpskAwgn(0.75), law, population=20_000, iterations=8, seed=2
         )
@@ -133,7 +157,11 @@ class TestPopdynRun:
         assert all(np.isfinite(r.llr_mean) and np.isfinite(r.llr_var) for r in records)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        message = "population must be positive and iterations non-negative"
+        with pytest.raises(ValueError, match=message):
             popdyn_run(Bec(0.4), regular_law(3, 6), population=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             popdyn_run(Bec(0.4), regular_law(3, 6), iterations=-1)
+
+    def test_zero_iterations_is_empty(self):
+        assert popdyn_run(Bec(0.4), regular_law(3, 6), iterations=0) == []
