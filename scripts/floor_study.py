@@ -3,14 +3,28 @@
 
 Sweeps sigma for a fixed-row-weight code and prints bound, measured BER,
 and their ratio. In the floor region the ratio should sit near 1.
+Acceptance criterion 5 is this campaign at sigma 0.68.
 """
 
 import argparse
 
 from bgmlab.bounds import ber_lower_bound
-from bgmlab.decode import BpConfig
-from bgmlab.ensemble import sample_fixed_row_weight
-from bgmlab.sim import SimConfig, StopRule, run_campaign
+from bgmlab.sim import SimConfig, StopRule, build_code, run_campaign
+
+
+def floor_config(
+    sigmas=(0.62, 0.65, 0.68, 0.71), k=1024, m=1024, row_weight=8, code_seed=1,
+    min_frame_errors=30, max_frames=20000, workers=4, seed=5,
+):
+    return SimConfig(
+        code={"construction": "fixed-row-weight", "k": k, "m": m, "w": row_weight, "seed": code_seed},
+        channel={"type": "awgn"},
+        sweep=tuple(sigmas),
+        stop=StopRule(min_frame_errors=min_frame_errors, max_frames=max_frames),
+        workers=workers,
+        chunk=64,
+        seed=seed,
+    )
 
 
 def main():
@@ -26,31 +40,16 @@ def main():
     ap.add_argument("--seed", type=int, default=5)
     args = ap.parse_args()
 
-    code = sample_fixed_row_weight(args.k, args.m, args.row_weight, seed=args.code_seed)
-    cfg = SimConfig(
-        code={
-            "construction": "fixed-row-weight",
-            "k": args.k,
-            "m": args.m,
-            "w": args.row_weight,
-            "seed": args.code_seed,
-        },
-        channel={"type": "awgn"},
-        sweep=tuple(args.sigmas),
-        stop=StopRule(min_frame_errors=args.min_frame_errors, max_frames=args.max_frames),
-        decoder=BpConfig(max_iterations=50),
-        workers=args.workers,
-        chunk=64,
-        seed=args.seed,
+    cfg = floor_config(
+        args.sigmas, args.k, args.m, args.row_weight, args.code_seed,
+        args.min_frame_errors, args.max_frames, args.workers, args.seed,
     )
+    code = build_code(cfg.code)
     print("sigma     bound       measured    ratio   frames")
     for point in run_campaign(cfg):
         bound = ber_lower_bound(code, point.param)
-        ber = point.bit_errors / (point.frames * args.k)
-        ratio = ber / bound if bound > 0 else float("inf")
-        print(
-            f"{point.param:<8.3f}  {bound:.3e}  {ber:.3e}  {ratio:6.2f}  {point.frames}"
-        )
+        ratio = point.ber / bound if bound > 0 else float("inf")
+        print(f"{point.param:<8.3f}  {bound:.3e}  {point.ber:.3e}  {ratio:6.2f}  {point.frames}")
 
 
 if __name__ == "__main__":

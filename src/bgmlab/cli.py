@@ -16,16 +16,12 @@ import numpy as np
 from . import __version__
 from .bounds import ber_lower_bound, fer_lower_bound, fer_lower_bound_approx
 from .channel import (
-    BpskAwgn,
     capacity,
     channel_from_config,
     ldpc_threshold_bound,
-    llr,
     partial_error_exponent,
     partial_mutual_information,
-    transmit,
 )
-from .concat import ConcatConfig, ConcatSystem, concat_decode, concat_encode, extended_hamming
 from .ensemble import (
     SystematicCode,
     encode,
@@ -39,8 +35,8 @@ from .ensemble import (
 from .gf2 import bits_from_string, bits_to_string
 from .graph import BipartiteGraph, GraphGenerationError, configuration_model
 from .popdyn import law_from_ensemble, law_from_graph, popdyn_run, regular_law
-from .rng import fresh_seed, make_rng
-from .sim import build_code, config_from_dict, run_campaign, write_csv
+from .rng import fresh_seed
+from .sim import config_from_dict, run_campaign, write_csv
 
 
 def _resolve_seed(args) -> int:
@@ -86,14 +82,10 @@ def _cmd_simulate(args) -> int:
         raw["seed"] = args.seed
     cfg = config_from_dict(raw)
     results = run_campaign(cfg)
-    code = build_code(cfg.code)
-    k = code.k if code is not None else int(cfg.code["k"])
-    write_csv(results, cfg, args.out, k, timing=args.timing)
+    write_csv(results, cfg, args.out, timing=args.timing)
     for r in results:
-        ber = r.bit_errors / (r.frames * k) if r.frames else 0.0
-        fer = r.frame_errors / r.frames if r.frames else 0.0
         print(
-            f"param={r.param:g} frames={r.frames} ber={ber:.3e} fer={fer:.3e}",
+            f"param={r.param:g} frames={r.frames} ber={r.ber:.3e} fer={r.fer:.3e}",
             file=sys.stderr,
         )
     print(f"wrote {args.out}")
@@ -201,30 +193,6 @@ def _cmd_popdyn(args) -> int:
     return 0
 
 
-def _cmd_concat_sim(args) -> int:
-    seed = _resolve_seed(args)
-    outer = extended_hamming(args.r)
-    inner = sample_bgm(args.blocks * outer.n, args.inner_m, args.rho, seed)
-    system = ConcatSystem(
-        outer=outer, blocks=args.blocks, inner=inner, interleaver_seed=seed
-    )
-    cfg = ConcatConfig(rounds=args.rounds)
-    ch = BpskAwgn(args.sigma)
-    bit_errs = frame_errs = 0
-    for trial in range(args.frames):
-        trial_rng = make_rng(seed, 0, trial)
-        msgs = trial_rng.integers(0, 2, size=(args.blocks, outer.k), dtype=np.uint8)
-        cw = concat_encode(system, msgs)
-        received = transmit(ch, cw, trial_rng)
-        out = concat_decode(system, llr(ch, received), cfg)
-        errs = int(np.count_nonzero(out.hard_decision != cw[: system.inner.k]))
-        bit_errs += errs
-        frame_errs += int(errs > 0)
-    n_bits = args.frames * system.inner.k
-    print(f"frames={args.frames} ber={bit_errs / n_bits:.3e} fer={frame_errs / args.frames:.3e}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bgmlab", description="random linear code experiments"
@@ -301,17 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_popdyn)
-
-    p = sub.add_parser("concat-sim", help="serial concatenation with iterative decoding")
-    p.add_argument("--r", type=int, default=4, help="extended Hamming parameter")
-    p.add_argument("--blocks", type=int, required=True)
-    p.add_argument("--inner-m", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--rounds", type=int, default=5)
-    p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_concat_sim)
 
     return parser
 

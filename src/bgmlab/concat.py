@@ -41,6 +41,7 @@ class ExtendedHammingCode:
     k: int = field(init=False)
     parity_check: BitMatrix = field(init=False, repr=False)
     generator: BitMatrix = field(init=False, repr=False)
+    info: np.ndarray = field(init=False, repr=False)
     _gen_dense: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -60,6 +61,12 @@ class ExtendedHammingCode:
             raise ValueError("parity-check matrix rank is off")
         self._gen_dense = basis
         self.generator = BitMatrix.from_dense(basis)
+        # message positions: the first unit column of each generator row
+        unit = np.flatnonzero(basis.sum(axis=0) == 1)
+        _, first = np.unique(basis[:, unit].argmax(axis=0), return_index=True)
+        self.info = unit[first]
+        if not np.array_equal(basis[:, self.info], np.eye(self.k, dtype=np.uint8)):
+            raise ValueError("generator carries no identity on its message positions")
 
     def encode(self, message) -> np.ndarray:
         message = np.asarray(message, dtype=np.uint8)
@@ -170,6 +177,8 @@ class ConcatSystem:
     inner: SystematicCode
     interleaver_seed: int
     perm: np.ndarray = field(init=False, repr=False)
+    graph: BpGraph = field(init=False, repr=False)
+    trellis: SyndromeTrellis = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.blocks < 1:
@@ -182,6 +191,13 @@ class ConcatSystem:
         rng = make_rng(self.interleaver_seed, "interleaver")
         # inner message position of outer-stream bit i
         self.perm = rng.permutation(self.inner.k)
+        self.graph = BpGraph(self.inner)
+        self.trellis = SyndromeTrellis(self.outer.parity_check)
+
+    def message_bits(self, inner_message) -> np.ndarray:
+        """The blocks * outer.k outer message bits carried by an inner message."""
+        blocks = np.asarray(inner_message)[self.perm].reshape(self.blocks, self.outer.n)
+        return blocks[:, self.outer.info].reshape(-1)
 
     @property
     def total_rate(self) -> Fraction:
@@ -219,8 +235,7 @@ def concat_decode(
     inner = system.inner
     if llrs.shape != (inner.k + inner.m,):
         raise ValueError(f"LLR length {llrs.shape} does not match {inner.k + inner.m}")
-    graph = BpGraph(inner)
-    trellis = SyndromeTrellis(system.outer.parity_check)
+    graph, trellis = system.graph, system.trellis
     n_o = system.outer.n
     trace = []
 

@@ -237,9 +237,10 @@ def configuration_model(
     The search stops once |r - r*| <= epsilon / 2, not epsilon: aiming at
     the middle of the band leaves margin for callers that check the result
     against epsilon.  Proposals are capped at a fixed multiple of the edge
-    count.  A graph that ends within epsilon is still returned; otherwise
-    GraphGenerationError carries the final graph, which is the best one
-    because the search is monotone in |S - S*|.
+    count, and none is made when one side has a single degree, since no
+    swap can then move r.  A graph that ends within epsilon is still
+    returned; otherwise GraphGenerationError carries the final graph, which
+    is the best one because the search is monotone in |S - S*|.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -262,7 +263,9 @@ def configuration_model(
     s = sum(kv[vi] * kc[ci] for vi, ci in zip(v, c))
     swaps = 0
     rng = make_rng(seed, "configuration-model", "rewire")
-    for a, b in _proposals(rng, m_edges):
+    # with one degree on either side every swap leaves S as it is
+    movable = len({kv[x] for x in v}) > 1 and len({kc[x] for x in c}) > 1
+    for a, b in _proposals(rng, m_edges) if movable else ():
         if abs(s - s_target) <= tol:
             break
         v1, c1, v2, c2 = v[a], c[a], v[b], c[b]
@@ -280,8 +283,9 @@ def configuration_model(
     graph = BipartiteGraph(g.n_var, n_chk, np.column_stack([v, c]))
     result = GraphBuildResult(graph, assortativity(graph), swaps)
     if abs(result.r_measured - r_star) > epsilon:
+        why = "rewiring ran out of proposals" if movable else "a side with one degree left r fixed"
         raise GraphGenerationError(
-            f"rewiring ran out of proposals before reaching r*={r_star} +/- {epsilon}; "
+            f"{why} before reaching r*={r_star} +/- {epsilon}; "
             f"best r={result.r_measured:.4f}",
             best_r=result.r_measured,
             best_result=result,

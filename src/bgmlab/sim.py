@@ -1,11 +1,22 @@
 """Monte Carlo decoding campaigns with reproducible accounting.
 
-A campaign sweeps one channel parameter over a fixed code.  Every trial
-owns a Philox stream keyed by (master seed, sweep index, trial index), so
-results do not depend on execution order: a worker pool and a serial loop
-produce identical counts.  Trials advance in fixed-size chunks and the
-stopping rule is evaluated only at chunk boundaries, which keeps the
-stopping decision deterministic as well.
+A campaign sweeps one channel parameter over a fixed system, named by the
+config's code block: uncoded (the spec's k message bits are sent as they
+are and decided bit by bit), a plain systematic code decoded by BP under
+the config's decoder settings, or concat: extended Hamming outer blocks
+over an inner systematic code, decoded by the iterative receiver of
+`concat`, whose message is the blocks * outer k outer message bits.
+
+Every trial runs the same steps: a Philox stream keyed by (master seed,
+sweep index, trial index) draws the k message bits, then the channel noise
+for the encoded frame; the frame is decoded and its errors counted against
+the message.  Results therefore do not depend on execution order: a worker
+pool and a serial loop produce identical counts.  Campaigns are also paired
+by construction: two campaigns that share a seed, a sweep, the message
+length k and the codeword length n draw the same messages and the same
+noise on every trial, so their counts compare frame by frame.  Trials
+advance in fixed-size chunks and the stopping rule is evaluated only at
+chunk boundaries, which keeps the stopping decision deterministic as well.
 
 BER counts message bits only; a frame error is any message-bit error.
 """
@@ -17,11 +28,13 @@ import json
 import multiprocessing
 import time
 from dataclasses import dataclass, asdict
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .channel import BpskAwgn, channel_from_config, llr, transmit, sigma_from_ebn0_db
+from .channel import channel_from_config, llr, transmit
+from .concat import ConcatConfig, ConcatSystem, concat_decode, concat_encode, extended_hamming
 from .decode import BpConfig, BpGraph, bp_decode, hard_decision
 from .ensemble import SystematicCode, encode, load_code, sample_bgm, sample_fixed_row_weight
 from .rng import make_rng
@@ -32,6 +45,7 @@ __all__ = [
     "SweepPointResult",
     "build_code",
     "run_campaign",
+    "run_fixed_work",
     "write_csv",
     "config_from_dict",
     "config_digest",
@@ -79,6 +93,10 @@ class SimConfig:
             raise ValueError(f"unknown sweep unit {self.sweep_unit!r}")
         if self.sweep_unit == "ebn0_db" and self.channel.get("type") != "awgn":
             raise ValueError("ebn0_db sweeps only make sense for awgn")
+        if self.sweep_unit == "ebn0_db" and self.code.get("construction") == "uncoded":
+            raise ValueError("ebn0_db sweeps need a code to define the rate")
+        if self.code.get("construction") == "concat" and self.decoder != BpConfig():
+            raise ValueError("a concat system takes its receiver settings from the code block, not decoder")
         if self.chunk < 1:
             raise ValueError("chunk must be positive")
         if self.workers < 0:
@@ -87,7 +105,7 @@ class SimConfig:
 
 @dataclass
 class SweepPointResult:
-    """Counts for one sweep value; ber/fer are derived at write time."""
+    """Counts for one sweep value, over k message bits per frame."""
 
     param: float
     frames: int
@@ -96,6 +114,15 @@ class SweepPointResult:
     avg_iters: float
     elapsed_s: float
     seed: int
+    k: int
+
+    @property
+    def ber(self) -> float:
+        return self.bit_errors / (self.frames * self.k) if self.frames else 0.0
+
+    @property
+    def fer(self) -> float:
+        return self.frame_errors / self.frames if self.frames else 0.0
 
 
 @dataclass
@@ -110,6 +137,9 @@ class _PointAccumulator:
         self.bit_errors += other.bit_errors
         self.frame_errors += other.frame_errors
         self.iters += other.iters
+
+    def done(self, stop: StopRule) -> bool:
+        return self.frame_errors >= stop.min_frame_errors or self.frames >= stop.max_frames
 
 
 def config_from_dict(raw: dict) -> SimConfig:
@@ -150,11 +180,12 @@ def config_digest(cfg: SimConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def build_code(spec: dict) -> SystematicCode | None:
+def build_code(spec: dict) -> SystematicCode | ConcatSystem | None:
     """Materialize the code named by a config's code block.
 
     Returns None for the uncoded construction (bits straight through the
-    channel with hard decisions).
+    channel with hard decisions), and a ConcatSystem for the concat
+    construction, whose "inner" block is itself a systematic code spec.
     """
     kind = spec.get("construction")
     if kind == "uncoded":
@@ -168,45 +199,74 @@ def build_code(spec: dict) -> SystematicCode | None:
         if not isinstance(code, SystematicCode):
             raise ValueError("graph-file construction needs a systematic code matrix")
         return code
+    if kind == "concat":
+        inner = build_code(spec["inner"])
+        if not isinstance(inner, SystematicCode):
+            raise ValueError("concat construction needs a systematic inner code")
+        outer = extended_hamming(int(spec["outer_r"]))
+        return ConcatSystem(outer, int(spec["blocks"]), inner, interleaver_seed=int(spec.get("interleaver_seed", 0)))
     raise ValueError(f"unknown code construction {kind!r}")
 
 
-def _point_channel(cfg: SimConfig, value: float, code: SystematicCode | None):
+@dataclass(frozen=True)
+class _System:
+    """One trial's ends: message length, Eb/N0 rate (None if uncoded), codec."""
+
+    k: int
+    rate: float | None
+    encode: Callable[[np.ndarray], np.ndarray]
+    decode: Callable[[np.ndarray], tuple[np.ndarray, int]]  # LLRs -> (message, iterations)
+
+
+def _build_system(cfg: SimConfig) -> _System:
+    # encode, bp_decode, ... are looked up at call time, so wrappers set on
+    # this module (tracing, tests) see every call
+    code = build_code(cfg.code)
+    if code is None:
+        return _System(int(cfg.code["k"]), None, lambda u: u, lambda llrs: (hard_decision(llrs), 0))
+    if isinstance(code, ConcatSystem):
+        # the receiver settings a code block may set; ConcatConfig supplies the rest
+        rx = ConcatConfig(**{key: int(cfg.code[key]) for key in ("rounds", "first_round_bp_iters") if key in cfg.code})
+        shape = (code.blocks, code.outer.k)
+
+        def decode_concat(llrs):
+            out = concat_decode(code, llrs, rx)
+            return code.message_bits(out.hard_decision), out.iterations_used
+
+        return _System(
+            shape[0] * shape[1], float(code.total_rate),
+            lambda u: concat_encode(code, u.reshape(shape)), decode_concat,
+        )
+    graph = BpGraph(code)
+
+    def decode_plain(llrs):
+        out = bp_decode(graph, llrs, cfg.decoder)
+        return out.hard_decision, out.iterations_used
+
+    return _System(code.k, float(code.rate), lambda u: encode(code, u), decode_plain)
+
+
+def _point_channel(cfg: SimConfig, value: float, rate: float | None):
     if cfg.sweep_unit == "ebn0_db":
-        if code is None:
-            raise ValueError("ebn0_db sweeps need a code to define the rate")
-        rate = float(code.rate)
-        return BpskAwgn(sigma_from_ebn0_db(value, rate))
-    ch_cfg = dict(cfg.channel)
-    ch_cfg["param"] = value
-    return channel_from_config(ch_cfg)
+        return channel_from_config({"type": "awgn", "ebn0_db": value}, rate=rate)
+    return channel_from_config({**cfg.channel, "param": value})
 
 
 def _run_chunk(
-    code: SystematicCode | None,
-    graph: BpGraph | None,
-    ch,
-    decoder: BpConfig,
-    master_seed: int,
+    cfg: SimConfig,
+    system: _System,
     sweep_idx: int,
+    value: float,
     t_start: int,
     t_stop: int,
-    k: int,
 ) -> _PointAccumulator:
+    ch = _point_channel(cfg, value, system.rate)
     acc = _PointAccumulator()
     for trial in range(t_start, t_stop):
-        rng = make_rng(master_seed, sweep_idx, trial)
-        u = rng.integers(0, 2, size=k, dtype=np.uint8)
-        if code is None:
-            received = transmit(ch, u, rng)
-            u_hat = hard_decision(llr(ch, received))
-            iters = 0
-        else:
-            cw = encode(code, u)
-            received = transmit(ch, cw, rng)
-            out = bp_decode(graph, llr(ch, received), decoder)
-            u_hat = out.hard_decision
-            iters = out.iterations_used
+        rng = make_rng(cfg.seed, sweep_idx, trial)
+        u = rng.integers(0, 2, size=system.k, dtype=np.uint8)
+        received = transmit(ch, system.encode(u), rng)
+        u_hat, iters = system.decode(llr(ch, received))
         errs = int(np.count_nonzero(u_hat != u))
         acc.frames += 1
         acc.bit_errors += errs
@@ -219,75 +279,39 @@ _WORKER_STATE: dict = {}
 
 
 def _worker_init(cfg: SimConfig):
-    code = build_code(cfg.code)
-    _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["code"] = code
-    _WORKER_STATE["graph"] = BpGraph(code) if code is not None else None
+    _WORKER_STATE.update(cfg=cfg, system=_build_system(cfg))
 
 
-def _worker_chunk(args):
-    sweep_idx, value, t_start, t_stop = args
-    cfg = _WORKER_STATE["cfg"]
-    code = _WORKER_STATE["code"]
-    graph = _WORKER_STATE["graph"]
-    ch = _point_channel(cfg, value, code)
-    k = code.k if code is not None else int(cfg.code["k"])
-    return _run_chunk(
-        code, graph, ch, cfg.decoder, cfg.seed, sweep_idx, t_start, t_stop, k
-    )
+def _worker_chunk(chunk):
+    return _run_chunk(_WORKER_STATE["cfg"], _WORKER_STATE["system"], *chunk)
 
 
 def run_campaign(cfg: SimConfig) -> list[SweepPointResult]:
     """Run every sweep point under the stopping rule; see module docstring."""
-    code = build_code(cfg.code)
-    graph = BpGraph(code) if code is not None else None
-    k = code.k if code is not None else int(cfg.code["k"])
+    system = _build_system(cfg)
+    stop = cfg.stop
     results = []
     pool = None
+    if cfg.workers > 1:
+        pool = multiprocessing.get_context("fork").Pool(cfg.workers, initializer=_worker_init, initargs=(cfg,))
     try:
-        if cfg.workers > 1:
-            pool = multiprocessing.get_context("fork").Pool(
-                cfg.workers, initializer=_worker_init, initargs=(cfg,)
-            )
         for sweep_idx, value in enumerate(cfg.sweep):
             t0 = time.perf_counter()
             acc = _PointAccumulator()
-            stop = cfg.stop
-            next_trial = 0
-            while (
-                acc.frame_errors < stop.min_frame_errors
-                and acc.frames < stop.max_frames
-            ):
-                budget = stop.max_frames - acc.frames
-                n_chunks = max(cfg.workers, 1)
-                starts = []
-                for _ in range(n_chunks):
-                    if budget <= 0:
-                        break
-                    size = min(cfg.chunk, budget)
-                    starts.append((sweep_idx, value, next_trial, next_trial + size))
-                    next_trial += size
-                    budget -= size
-                if not starts:
-                    break
+            while not acc.done(stop):
+                batch_end = min(acc.frames + max(cfg.workers, 1) * cfg.chunk, stop.max_frames)
+                chunks = [
+                    (sweep_idx, value, t, min(t + cfg.chunk, batch_end))
+                    for t in range(acc.frames, batch_end, cfg.chunk)
+                ]
                 if pool is not None:
-                    chunk_accs = pool.map(_worker_chunk, starts)
+                    chunk_accs = pool.map(_worker_chunk, chunks)
                 else:
-                    ch = _point_channel(cfg, value, code)
-                    chunk_accs = [
-                        _run_chunk(
-                            code, graph, ch, cfg.decoder, cfg.seed,
-                            sweep_idx, s[2], s[3], k,
-                        )
-                        for s in starts
-                    ]
+                    chunk_accs = (_run_chunk(cfg, system, *c) for c in chunks)
                 # merge in submission order, honoring the stop rule at
                 # chunk boundaries so parallel equals serial
                 for chunk_acc in chunk_accs:
-                    if (
-                        acc.frame_errors >= stop.min_frame_errors
-                        or acc.frames >= stop.max_frames
-                    ):
+                    if acc.done(stop):
                         break
                     acc.merge(chunk_acc)
             results.append(
@@ -299,6 +323,7 @@ def run_campaign(cfg: SimConfig) -> list[SweepPointResult]:
                     avg_iters=acc.iters / acc.frames if acc.frames else 0.0,
                     elapsed_s=time.perf_counter() - t0,
                     seed=cfg.seed,
+                    k=system.k,
                 )
             )
     finally:
@@ -308,7 +333,14 @@ def run_campaign(cfg: SimConfig) -> list[SweepPointResult]:
     return results
 
 
-def write_csv(results, cfg: SimConfig, path, k: int, timing: bool = False) -> None:
+def run_fixed_work(specs, sigma: float, frames: int, seed: int, workers: int = 0) -> list[SweepPointResult]:
+    """One AWGN point per code spec, all over the same `frames` trials, so systems of equal k and n are paired."""
+    stop = StopRule(min_frame_errors=frames + 1, max_frames=frames)
+    cfgs = (SimConfig(spec, {"type": "awgn"}, (sigma,), stop=stop, seed=seed, workers=workers) for spec in specs)
+    return [run_campaign(cfg)[0] for cfg in cfgs]
+
+
+def write_csv(results, cfg: SimConfig, path, timing: bool = False) -> None:
     """Campaign CSV: one comment header line, column names, one row per point.
 
     elapsed_s is written as 0.000 unless timing is requested, so that
@@ -319,10 +351,8 @@ def write_csv(results, cfg: SimConfig, path, k: int, timing: bool = False) -> No
         fh.write(f"# bgmlab-simulate v{__version__} config_sha256={digest} seed={cfg.seed}\n")
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in results:
-            ber = r.bit_errors / (r.frames * k) if r.frames else 0.0
-            fer = r.frame_errors / r.frames if r.frames else 0.0
             elapsed = f"{r.elapsed_s:.3f}" if timing else "0.000"
             fh.write(
                 f"{r.param:.10g},{r.frames},{r.bit_errors},{r.frame_errors},"
-                f"{ber:.10g},{fer:.10g},{r.avg_iters:.6f},{elapsed},{r.seed}\n"
+                f"{r.ber:.10g},{r.fer:.10g},{r.avg_iters:.6f},{elapsed},{r.seed}\n"
             )

@@ -5,6 +5,7 @@ Each test prints `criterion N: PASS/FAIL (...)` before asserting so the
 verdict survives in captured output either way.
 """
 
+import json
 import time
 
 import numpy as np
@@ -12,44 +13,23 @@ import pytest
 
 from bgmlab.bounds import ber_lower_bound, fer_lower_bound
 from bgmlab.channel import ldpc_threshold_bound, Bec
-from bgmlab.concat import (
-    ConcatConfig,
-    ConcatSystem,
-    bcjr_decode,
-    concat_decode,
-    concat_encode,
-    extended_hamming,
-)
-from bgmlab.decode import BpConfig, bp_decode
-from bgmlab.ensemble import (
-    SystematicCode,
-    encode,
-    iowef,
-    rho_omega,
-    sample_bgm,
-    sample_fixed_row_weight,
-    save_code,
-)
-from bgmlab.graph import (
-    GraphGenerationError,
-    configuration_model,
-    generator_to_graph,
-    graph_to_generator,
-)
+from bgmlab.concat import bcjr_decode, extended_hamming
+from bgmlab.ensemble import iowef, rho_omega, sample_bgm
 from bgmlab.popdyn import popdyn_run, regular_law
 from bgmlab.rng import make_rng
-from bgmlab.sim import SimConfig, StopRule, run_campaign
+from bgmlab.sim import build_code, run_campaign
 from bgmlab.cli import main as cli_main
+
+# criteria 5, 6, 7 and 10 run the study scripts' experiments at their defaults
+import assortativity_study
+import concat_floor
+import floor_study
+import waterfall_gain
 
 
 def verdict(num, ok, detail):
     print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} ({detail})")
     return ok
-
-
-def bgm_degree_profiles(seed):
-    g = generator_to_graph(sample_bgm(1024, 1024, 0.01, seed=seed).g)
-    return g.var_degrees(), g.chk_degrees()
 
 
 class TestCriterion01Threshold:
@@ -151,23 +131,11 @@ class TestCriterion05FloorMatchingAtScale:
     def test_bp_floor_within_factor_three_of_bound(self):
         t0 = time.perf_counter()
         sigma = 0.68
-        code_spec = {"construction": "fixed-row-weight", "k": 1024, "m": 1024, "w": 8, "seed": 1}
-        bound = ber_lower_bound(
-            sample_fixed_row_weight(1024, 1024, 8, seed=1), sigma
-        )
+        cfg = floor_study.floor_config(sigmas=(sigma,))
+        bound = ber_lower_bound(build_code(cfg.code), sigma)
         assert 1e-6 <= bound <= 1e-5
-        cfg = SimConfig(
-            code=code_spec,
-            channel={"type": "awgn"},
-            sweep=(sigma,),
-            stop=StopRule(min_frame_errors=30, max_frames=20_000),
-            decoder=BpConfig(max_iterations=50),
-            workers=4,
-            chunk=64,
-            seed=5,
-        )
         (point,) = run_campaign(cfg)
-        ber = point.bit_errors / (point.frames * 1024)
+        ber = point.ber
         ratio = ber / bound
         elapsed = time.perf_counter() - t0
         ok = (1.0 / 3.0) <= ratio <= 3.0 and elapsed < 3600.0
@@ -181,19 +149,11 @@ class TestCriterion05FloorMatchingAtScale:
 class TestCriterion06AssortativityTargeting:
     @pytest.mark.parametrize("r_star", (-0.5, -0.3, -0.1, 0.2))
     def test_target(self, r_star):
-        d1, d2 = bgm_degree_profiles(seed=5)
+        d1, d2 = assortativity_study.profiles()
         if r_star > 0:
             d2 = d1
         t0 = time.perf_counter()
-        failure = None
-        try:
-            built = configuration_model(d1, d2, r_star, epsilon=0.02, seed=0)
-            r_measured = built.r_measured
-            graph = built.graph
-        except GraphGenerationError as exc:
-            failure = exc
-            r_measured = exc.best_r
-            graph = exc.best_result.graph if exc.best_result else None
+        graph, r_measured, failure = assortativity_study.build(d1, d2, r_star)
         elapsed = time.perf_counter() - t0
         degrees_ok = graph is not None and (
             sorted(graph.var_degrees().tolist()) == sorted(d1.tolist())
@@ -212,66 +172,24 @@ class TestCriterion06AssortativityTargeting:
         )
 
 
-def log_crossing(grid, bers, level=1e-3):
-    logs = np.log10(np.maximum(np.asarray(bers), 1e-12))
-    target = np.log10(level)
-    for i in range(len(grid) - 1):
-        if logs[i] >= target >= logs[i + 1]:
-            frac = (logs[i] - target) / (logs[i] - logs[i + 1])
-            return grid[i] + frac * (grid[i + 1] - grid[i])
-    return None
-
-
 class TestCriterion07DisassortativeGain:
-    def test_waterfall_ordering_and_gain(self, tmp_path):
+    def test_waterfall_ordering_and_gain(self):
         t0 = time.perf_counter()
-        d1, d2 = bgm_degree_profiles(seed=5)
-        graphs = {
-            "neg": configuration_model(d1, d2, -0.5, epsilon=0.02, seed=0).graph,
-            "neutral": configuration_model(d1, d2, 0.0, epsilon=0.05, seed=0).graph,
-            "pos": configuration_model(d1, d1, 0.2, epsilon=0.02, seed=0).graph,
+        graphs = {name: built.graph for name, built in waterfall_gain.build_graphs().items()}
+        grid = waterfall_gain.GRID
+        crossings = {
+            name: waterfall_gain.crossing(grid, bers)
+            for name, bers in waterfall_gain.waterfalls(graphs).items()
         }
-
-        grid = (1.0, 1.4, 1.8, 2.2, 2.6)
-        crossings = {}
-        for name, graph in graphs.items():
-            path = tmp_path / f"{name}.npz"
-            save_code(
-                SystematicCode(graph.n_var, graph.n_chk, graph_to_generator(graph)),
-                path,
-            )
-            cfg = SimConfig(
-                code={"construction": "graph-file", "path": str(path)},
-                channel={"type": "awgn"},
-                sweep=grid,
-                sweep_unit="ebn0_db",
-                stop=StopRule(min_frame_errors=60, max_frames=2500),
-                decoder=BpConfig(max_iterations=50),
-                workers=4,
-                chunk=32,
-                seed=7,
-            )
-            points = run_campaign(cfg)
-            bers = [p.bit_errors / (p.frames * 1024) for p in points]
-            crossings[name] = log_crossing(grid, bers)
-
+        neg, neutral, pos = (crossings[name] for name in ("disassortative", "neutral", "assortative"))
         elapsed = time.perf_counter() - t0
-        gain = (
-            crossings["neutral"] - crossings["neg"]
-            if crossings["neg"] is not None and crossings["neutral"] is not None
-            else None
-        )
-        ordered = (
-            crossings["pos"] is not None
-            and crossings["neutral"] is not None
-            and crossings["pos"] > crossings["neutral"]
-        )
+        gain = neutral - neg if neg is not None and neutral is not None else None
+        ordered = pos is not None and neutral is not None and pos > neutral
         ok = gain is not None and 0.25 <= gain <= 0.75 and ordered and elapsed < 7200.0
         assert verdict(
             7,
             ok,
-            f"1e-3 crossings neg/neutral/pos = "
-            f"{crossings['neg']:.2f}/{crossings['neutral']:.2f}/{crossings['pos']:.2f} dB, "
+            f"1e-3 crossings neg/neutral/pos = {neg:.2f}/{neutral:.2f}/{pos:.2f} dB, "
             f"gain {gain:.2f} dB, assortative worse={ordered}, {elapsed:.0f}s",
         )
 
@@ -326,54 +244,19 @@ class TestCriterion09BcjrExactness:
 class TestCriterion10ConcatenationFloor:
     def test_ten_times_floor_improvement_paired(self):
         t0 = time.perf_counter()
-        outer = extended_hamming(4)
-        gd = outer.generator.to_dense()
-        info, seen = [], set()
-        for j in range(outer.n):
-            col = gd[:, j]
-            if col.sum() == 1:
-                pivot = int(np.nonzero(col)[0][0])
-                if pivot not in seen:
-                    seen.add(pivot)
-                    info.append(j)
-        info = np.array(sorted(info, key=lambda j: int(np.nonzero(gd[:, j])[0][0])))
-
-        # equal total rate 11/30 on both arms: (88, 152) plain vs
-        # 8 outer blocks of [16, 11] over a (128, 112) inner code
-        system = ConcatSystem(
-            outer, 8, sample_bgm(128, 112, 0.15, seed=2), interleaver_seed=1
-        )
-        plain = sample_bgm(88, 152, 0.05, seed=0)
-        cfg = ConcatConfig(rounds=4, first_round_bp_iters=30, later_bp_iters=10)
-        bp_cfg = BpConfig(max_iterations=50)
-
-        sigma = 0.48
-        trials = 12000
-        rng = make_rng(31, "a10", 0, int(sigma * 100))
-        plain_errs = concat_errs = 0
-        for _ in range(trials):
-            msg_plain = (rng.random(88) < 0.5).astype(np.uint8)
-            msg_concat = (rng.random((8, 11)) < 0.5).astype(np.uint8)
-            noise = rng.standard_normal(240)
-            y_plain = 1.0 - 2.0 * encode(plain, msg_plain) + sigma * noise
-            y_concat = 1.0 - 2.0 * concat_encode(system, msg_concat) + sigma * noise
-            out = bp_decode(plain, 2.0 * y_plain / sigma**2, bp_cfg)
-            plain_errs += int((out.hard_decision != msg_plain).sum())
-            dec = concat_decode(system, 2.0 * y_concat / sigma**2, cfg)
-            stream = dec.hard_decision[system.perm]
-            for b in range(8):
-                concat_errs += int(
-                    (stream[b * 16:(b + 1) * 16][info] != msg_concat[b]).sum()
-                )
-
-        plain_ber = plain_errs / (trials * 88)
+        # scripts/concat_floor.py at its defaults: equal total rate 11/30, and
+        # both arms carry 88 message bits in 240 channel bits, so they see
+        # the same messages and noise on every frame
+        sigma, trials = 0.48, 12000
+        plain, concat = concat_floor.paired_floor(sigma, trials)
+        plain_errs, concat_errs = plain.bit_errors, concat.bit_errors
         elapsed = time.perf_counter() - t0
-        ok = 1e-5 <= plain_ber <= 1e-4 and concat_errs * 10 <= plain_errs
+        ok = 1e-5 <= plain.ber <= 1e-4 and concat_errs * 10 <= plain_errs
         assert verdict(
             10,
             ok,
             f"sigma={sigma}, {trials} paired frames: plain {plain_errs} errors "
-            f"(ber {plain_ber:.2e}), concat {concat_errs} errors, {elapsed:.0f}s",
+            f"(ber {plain.ber:.2e}), concat {concat_errs} errors, {elapsed:.0f}s",
         )
 
 
@@ -391,8 +274,6 @@ class TestCriterion11Determinism:
         outputs = {}
         for name, workers in (("serial_a", 0), ("serial_b", 0), ("parallel", 3)):
             cfg_path = tmp_path / f"{name}.json"
-            import json
-
             cfg_path.write_text(json.dumps({**base, "workers": workers}))
             out_path = tmp_path / f"{name}.csv"
             code = cli_main(

@@ -1,5 +1,6 @@
 """Command line subcommands: wiring, exit codes, seed logging, determinism."""
 
+import json
 import os
 import subprocess
 import sys
@@ -104,6 +105,30 @@ class TestSimulate:
         with open(out) as fh:
             assert "seed=77" in fh.readline()
 
+    def run_concat(self, capsys, tmp_path, blocks):
+        cfg = tmp_path / "concat.json"
+        cfg.write_text(json.dumps({
+            "code": {"construction": "concat", "outer_r": 3, "blocks": blocks, "rounds": 2,
+                     "inner": {"construction": "bgm", "k": 16, "m": 8, "rho": 0.2, "seed": 3}},
+            "channel": {"type": "awgn"}, "sweep": [0.4, 0.8],
+            "stop": {"min_frame_errors": 1000, "max_frames": 5}, "seed": 3,
+        }))
+        return run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "c.csv"))
+
+    def test_concat_config(self, capsys, tmp_path):
+        assert self.run_concat(capsys, tmp_path, blocks=2)[0] == 0
+        header, columns, *rows = (tmp_path / "c.csv").read_text().splitlines()
+        assert header.startswith("# bgmlab-simulate v") and header.endswith(" seed=3")
+        assert columns == "param,frames,bit_errors,frame_errors,ber,fer,avg_iters,elapsed_s,seed"
+        assert [row.split(",")[:2] for row in rows] == [["0.4", "5"], ["0.8", "5"]]
+        for row in rows:  # 2 blocks of 4 outer message bits per frame
+            assert float(row.split(",")[4]) == int(row.split(",")[2]) / (5 * 8)
+
+    def test_concat_dimension_mismatch_exits_two(self, capsys, tmp_path):
+        code, _, err = self.run_concat(capsys, tmp_path, blocks=3)
+        assert code == 2
+        assert err == "error: outer stream length 3*8 does not match inner k=16\n"
+
     def test_missing_config_exits_nonzero(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--config", str(tmp_path / "nope.json"),
@@ -130,7 +155,6 @@ class TestGraphgen:
         assert edges.shape == (120, 2)
         var_deg = np.bincount(edges[:, 0], minlength=40)
         assert sorted(var_deg.tolist()) == sorted([2] * 20 + [4] * 20)
-        import json
 
         with open(out + ".json") as fh:
             sidecar = json.load(fh)
@@ -193,16 +217,6 @@ class TestPopdynCommand:
         )
         assert code == 2
         assert "error:" in err
-
-
-class TestConcatSimCommand:
-    def test_smoke(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "concat-sim", "--r", "3", "--blocks", "2", "--inner-m", "8",
-            "--rho", "0.2", "--sigma", "0.4", "--frames", "5", "--seed", "3",
-        )
-        assert code == 0
-        assert out.startswith("frames=5 ber=")
 
 
 class TestExponentCommand:

@@ -1,9 +1,11 @@
 """Degree statistics, assortativity, and targeted graph generation."""
 
+import time
+
 import numpy as np
 import pytest
 
-from bgmlab.ensemble import sample_bgm
+from bgmlab.ensemble import sample_bgm, sample_fixed_row_weight
 from bgmlab.gf2 import BitMatrix
 from bgmlab.graph import (
     BipartiteGraph,
@@ -205,6 +207,21 @@ class TestConfigurationModel:
         assert err.value.best_result is not None
         assert err.value.best_r == err.value.best_result.r_measured
         assert np.array_equal(err.value.best_result.graph.var_degrees(), prof)
+
+    def test_single_degree_side_skips_the_swap_search(self):
+        # every variable node has degree 8, so no swap can move r
+        g = generator_to_graph(sample_fixed_row_weight(1024, 1024, 8, seed=1).g)
+        d1, d2 = g.var_degrees(), g.chk_degrees()
+        t0 = time.perf_counter()
+        with pytest.raises(GraphGenerationError) as err:
+            configuration_model(d1, d2, r_star=-0.3, epsilon=0.02, seed=0)
+        assert time.perf_counter() - t0 < 0.5  # a full proposal budget takes seconds
+        best = err.value.best_result
+        assert best.swaps == 0
+        assert best.r_measured == assortativity(sample_neutral_graph(d1, d2, seed=0))
+        # within epsilon but not epsilon / 2: the neutral graph is returned
+        near = configuration_model(d1, d2, r_star=best.r_measured + 0.015, epsilon=0.02, seed=0)
+        assert (near.swaps, near.r_measured) == (0, best.r_measured)
 
 
 class TestGeneratorConversion:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from bgmlab import sim
+from bgmlab.concat import ConcatSystem
 from bgmlab.decode import BpConfig
 from bgmlab.ensemble import sample_bgm, save_code
 from bgmlab.sim import (
@@ -26,6 +28,16 @@ def bsc_uncoded_config(**overrides):
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+# 2 outer [8, 4] blocks over a (16, 16) inner code: 8 message bits in 32
+# channel bits, the same as PLAIN_8_32
+CONCAT_8_32 = {
+    "construction": "concat", "outer_r": 3, "blocks": 2,
+    "inner": {"construction": "bgm", "k": 16, "m": 16, "rho": 0.15, "seed": 4},
+    "interleaver_seed": 2, "rounds": 2, "first_round_bp_iters": 10,
+}
+PLAIN_8_32 = {"construction": "bgm", "k": 8, "m": 24, "rho": 0.15, "seed": 4}
 
 
 class TestConfig:
@@ -59,6 +71,13 @@ class TestConfig:
             SimConfig(
                 code={}, channel={"type": "bsc"}, sweep=(1.0,), sweep_unit="ebn0_db"
             )
+        with pytest.raises(ValueError, match="need a code"):
+            SimConfig(
+                code={"construction": "uncoded", "k": 8}, channel={"type": "awgn"},
+                sweep=(1.0,), sweep_unit="ebn0_db",
+            )
+        with pytest.raises(ValueError, match="receiver settings"):
+            SimConfig(code=CONCAT_8_32, channel={"type": "awgn"}, sweep=(1.0,), decoder=BpConfig(max_iterations=20))
         with pytest.raises(ValueError):
             StopRule(min_frame_errors=0)
 
@@ -81,6 +100,15 @@ class TestBuildCode:
         save_code(sample_bgm(12, 6, 0.3, seed=9), path)
         loaded = build_code({"construction": "graph-file", "path": str(path)})
         assert (loaded.k, loaded.m) == (12, 6)
+
+    def test_concat(self):
+        system = build_code(CONCAT_8_32)
+        assert isinstance(system, ConcatSystem)
+        assert (system.blocks, system.outer.n, system.inner.k, system.inner.m) == (2, 8, 16, 16)
+        with pytest.raises(ValueError, match="^outer stream length 3\\*8 does not match inner k=16$"):
+            build_code({**CONCAT_8_32, "blocks": 3})
+        with pytest.raises(ValueError, match="systematic inner"):
+            build_code({**CONCAT_8_32, "inner": {"construction": "uncoded", "k": 16}})
 
     def test_unknown_construction(self):
         with pytest.raises(ValueError):
@@ -128,24 +156,43 @@ class TestRunCampaign:
         assert point.frames % 3 == 0
 
     def test_parallel_matches_serial(self):
-        base = dict(
-            code={"construction": "bgm", "k": 32, "m": 32, "rho": 0.12, "seed": 3},
-            channel={"type": "awgn"},
-            sweep=(0.7, 0.9),
-            stop=StopRule(min_frame_errors=15, max_frames=3000),
-            decoder=BpConfig(max_iterations=20),
-            chunk=64,
-            seed=11,
-        )
-        serial = run_campaign(SimConfig(**base, workers=0))
-        parallel = run_campaign(SimConfig(**base, workers=3))
-        for s, p in zip(serial, parallel):
-            assert (s.frames, s.bit_errors, s.frame_errors) == (
-                p.frames,
-                p.bit_errors,
-                p.frame_errors,
+        for code, max_frames, decoder in (
+            ({"construction": "bgm", "k": 32, "m": 32, "rho": 0.12, "seed": 3}, 3000, BpConfig(max_iterations=20)),
+            (CONCAT_8_32, 400, BpConfig()),
+        ):
+            base = dict(
+                code=code,
+                channel={"type": "awgn"},
+                sweep=(0.7, 0.9),
+                stop=StopRule(min_frame_errors=15, max_frames=max_frames),
+                decoder=decoder,
+                chunk=64,
+                seed=11,
             )
-            assert s.avg_iters == p.avg_iters
+            serial = run_campaign(SimConfig(**base, workers=0))
+            parallel = run_campaign(SimConfig(**base, workers=3))
+            for s, p in zip(serial, parallel, strict=True):
+                assert (s.frames, s.bit_errors, s.frame_errors, s.avg_iters) == (p.frames, p.bit_errors, p.frame_errors, p.avg_iters)
+
+    def test_equal_lengths_pair_the_noise(self, monkeypatch):
+        noise = {}
+        transmit = sim.transmit
+
+        def recording(ch, bits, rng):
+            received = transmit(ch, bits, rng)
+            noise[name].append(received - (1.0 - 2.0 * bits))
+            return received
+
+        monkeypatch.setattr(sim, "transmit", recording)
+        for name, code in (("plain", PLAIN_8_32), ("concat", CONCAT_8_32)):
+            noise[name] = []
+            stop = StopRule(min_frame_errors=10**6, max_frames=40)
+            cfg = SimConfig(code=code, channel={"type": "awgn"}, sweep=(0.8, 0.6), stop=stop, seed=13)
+            assert [p.k for p in run_campaign(cfg)] == [8, 8]
+        assert len(noise["plain"]) == len(noise["concat"]) == 80
+        for a, b in zip(noise["plain"], noise["concat"]):
+            # equal up to the rounding of adding and removing +/-1
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_ebn0_sweep_improves_with_snr(self):
         cfg = SimConfig(
@@ -176,15 +223,15 @@ class TestWriteCsv:
         cfg = bsc_uncoded_config()
         results = run_campaign(cfg)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(results, cfg, p1, k=1000)
-        write_csv(run_campaign(cfg), cfg, p2, k=1000)
+        write_csv(results, cfg, p1)
+        write_csv(run_campaign(cfg), cfg, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_schema_and_derived_columns(self, tmp_path):
         cfg = bsc_uncoded_config()
         (point,) = run_campaign(cfg)
         path = tmp_path / "out.csv"
-        write_csv([point], cfg, path, k=1000)
+        write_csv([point], cfg, path)
         header, columns, row = path.read_text().splitlines()
         assert header.startswith("# bgmlab-simulate v")
         assert f"config_sha256={config_digest(cfg)}" in header
@@ -199,6 +246,6 @@ class TestWriteCsv:
         cfg = bsc_uncoded_config()
         results = run_campaign(cfg)
         path = tmp_path / "t.csv"
-        write_csv(results, cfg, path, k=1000, timing=True)
+        write_csv(results, cfg, path, timing=True)
         row = path.read_text().splitlines()[2]
         assert row.split(",")[7] != "0.000"
