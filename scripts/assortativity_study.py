@@ -11,12 +11,12 @@ import argparse
 import time
 
 from bgmlab.ensemble import sample_bgm
-from bgmlab.graph import GraphGenerationError, assortativity, configuration_model, generator_to_graph
+from bgmlab.graph import GraphGenerationError, assortativity, configuration_model
 
 
 def profiles(k=1024, m=1024, rho=0.01, seed=5):
-    g = generator_to_graph(sample_bgm(k, m, rho, seed=seed).g)
-    return g.var_degrees(), g.chk_degrees()
+    g = sample_bgm(k, m, rho, seed=seed).g
+    return g.row_weights(), g.col_weights()
 
 
 def build(d1, d2, target, epsilon=0.02, seed=0):

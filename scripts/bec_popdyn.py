@@ -3,7 +3,8 @@
 
 For a (dv, dc)-regular population on the erasure channel the edge erasure
 rate follows x_{t+1} = eps * (1 - (1 - x_t)^(dc-1))^(dv-1) exactly, which
-makes it a sharp oracle for the sampled dynamics.
+makes it a sharp oracle for the sampled dynamics.  Acceptance criterion 8
+checks the sampled dynamics against this script's recursion.
 """
 
 import argparse
@@ -12,6 +13,15 @@ import numpy as np
 
 from bgmlab.channel import Bec
 from bgmlab.popdyn import popdyn_run, regular_law
+
+
+def recursion(eps, dv, dc, iterations):
+    """Edge erasure rates x_1 .. x_iterations of the recursion, from x_0 = 1."""
+    rates, x = [], 1.0
+    for _ in range(iterations):
+        x = eps * (1.0 - (1.0 - x) ** (dc - 1)) ** (dv - 1)
+        rates.append(x)
+    return rates
 
 
 def main():
@@ -32,9 +42,7 @@ def main():
         )
         print(f"eps={eps}")
         print("  iter  sampled     analytic    |z|")
-        x = 1.0
-        for rec in records:
-            x = eps * (1.0 - (1.0 - x) ** (args.dc - 1)) ** (args.dv - 1)
+        for rec, x in zip(records, recursion(eps, args.dv, args.dc, args.iterations)):
             se = np.sqrt(max(x * (1 - x), 1e-30) / args.population)
             z = abs(rec.edge_error_rate - x) / se if se > 0 else 0.0
             print(

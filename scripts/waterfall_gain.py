@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from bgmlab.ensemble import SystematicCode, sample_bgm, save_code
-from bgmlab.graph import configuration_model, generator_to_graph, graph_to_generator
+from bgmlab.graph import configuration_model
 from bgmlab.sim import SimConfig, StopRule, run_campaign
 
 GRID = (1.0, 1.4, 1.8, 2.2, 2.6)
@@ -36,8 +36,8 @@ def crossing(grid, bers, level=1e-3):
 
 def build_graphs(k=1024, rho=0.01, profile_seed=5):
     """The three GraphBuildResults over one sampled BGM profile, by name."""
-    profile = generator_to_graph(sample_bgm(k, k, rho, seed=profile_seed).g)
-    d1, d2 = profile.var_degrees(), profile.chk_degrees()
+    profile = sample_bgm(k, k, rho, seed=profile_seed).g
+    d1, d2 = profile.row_weights(), profile.col_weights()
     return {
         name: configuration_model(d1, d1 if target > 0 else d2, target, epsilon=eps, seed=0)
         for name, target, eps in VARIANTS
@@ -50,7 +50,7 @@ def waterfalls(graphs, grid=GRID, min_frame_errors=60, max_frames=2500, workers=
     with tempfile.TemporaryDirectory() as tmp:
         for name, graph in graphs.items():
             path = Path(tmp) / f"{name}.npz"
-            save_code(SystematicCode(graph.n_var, graph.n_chk, graph_to_generator(graph)), path)
+            save_code(SystematicCode(graph.n_var, graph.n_chk, graph), path)
             cfg = SimConfig(
                 code={"construction": "graph-file", "path": str(path)},
                 channel={"type": "awgn"},

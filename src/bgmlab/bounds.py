@@ -49,10 +49,11 @@ def greedy_orthogonal_list(code: SystematicCode) -> list[int]:
     columns never collide, so disjointness reduces to the G-row supports.
     """
     order = sorted(range(code.k), key=lambda i: (int(code.row_weights[i]), i))
+    supports = code.g.row_supports
     used: set[int] = set()
     selected: list[int] = []
     for i in order:
-        support = code.g.row_supports[i]
+        support = supports[i]
         if any(int(j) in used for j in support):
             continue
         selected.append(i)

@@ -33,7 +33,7 @@ from .ensemble import (
     save_code,
 )
 from .gf2 import bits_from_string, bits_to_string
-from .graph import BipartiteGraph, GraphGenerationError, configuration_model
+from .graph import GraphGenerationError, configuration_model
 from .popdyn import law_from_ensemble, law_from_graph, popdyn_run, regular_law
 from .rng import fresh_seed
 from .sim import config_from_dict, run_campaign, write_csv
@@ -140,17 +140,14 @@ def _cmd_graphgen(args) -> int:
         print(f"graph generation failed: {exc}", file=sys.stderr)
         return 1
     g = built.graph
-    np.savetxt(args.out, g.edges, fmt="%d", header=f"{g.n_var} {g.n_chk}")
-    sidecar = {
+    meta = {
         "r_measured": built.r_measured,
         "swaps": built.swaps,
         "seed": seed,
         "d1_hash": _digest(d1),
         "d2_hash": _digest(d2),
     }
-    with open(args.out + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    save_code(SystematicCode(g.n_var, g.n_chk, g, meta=meta), args.out)
     print(f"r_measured={built.r_measured:.4f} swaps={built.swaps}")
     print(f"wrote {args.out} and {args.out}.json")
     return 0
@@ -162,22 +159,12 @@ def _digest(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.int64).tobytes()).hexdigest()[:16]
 
 
-def _load_graph(path: str) -> BipartiteGraph:
-    """Read a graphgen edge file: header line `# n_var n_chk`, then `v c` rows."""
-    with open(path) as fh:
-        header = fh.readline().lstrip("#").split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: header must read 'n_var n_chk'")
-    edges = np.loadtxt(path, dtype=np.int64, ndmin=2)
-    return BipartiteGraph(int(header[0]), int(header[1]), edges)
-
-
 def _cmd_popdyn(args) -> int:
     seed = _resolve_seed(args)
     if args.regular:
         law = regular_law(args.dv, args.dc)
     elif args.graph is not None:
-        law = law_from_graph(_load_graph(args.graph))
+        law = law_from_graph(load_code(args.graph).g)
     else:
         law = law_from_ensemble(args.k, args.m, args.rho)
     ch = channel_from_config({"type": args.channel, "param": args.param})
@@ -262,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1024)
     p.add_argument("--m", type=int, default=1024)
     p.add_argument("--rho", type=float, default=0.002)
-    p.add_argument("--graph", metavar="EDGES", default=None, help="model this graphgen output file")
+    p.add_argument("--graph", metavar="CODE", default=None, help="model this saved code's normal graph")
     p.add_argument("--channel", choices=("bsc", "bec", "awgn"), required=True)
     p.add_argument("--param", type=float, required=True)
     p.add_argument("--population", type=int, default=100_000)

@@ -34,15 +34,12 @@ _ATANH_LIMIT = 1.0 - 1e-14  # keeps arctanh finite after product rounding
 @dataclass(frozen=True)
 class BpConfig:
     max_iterations: int = 50
-    damping: float = 0.0
     llr_clamp: float = 30.0
     early_stop: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must lie in [0, 1)")
         if self.llr_clamp <= 0.0:
             raise ValueError("llr_clamp must be positive")
 
@@ -61,22 +58,15 @@ def hard_decision(llrs) -> np.ndarray:
 
 
 class BpGraph:
-    """Edge arrays for a code's normal graph, reusable across frames."""
+    """Edge arrays of a code's normal graph: views of its G's edge array."""
 
     def __init__(self, code: SystematicCode):
         self.code = code
         self.k = code.k
         self.m = code.m
-        counts = code.g.row_weights()
-        self.edge_var = np.repeat(np.arange(self.k, dtype=np.int64), counts)
-        if len(code.g.row_supports):
-            self.edge_chk = np.concatenate(
-                [s for s in code.g.row_supports if s.size]
-                or [np.empty(0, dtype=np.int64)]
-            )
-        else:
-            self.edge_chk = np.empty(0, dtype=np.int64)
-        self.n_edges = self.edge_var.size
+        self.edge_var = code.g.edges[:, 0]
+        self.edge_chk = code.g.edges[:, 1]
+        self.n_edges = code.g.nnz()
 
 
 def _check_pass(t_edge, t_par, edge_chk, m):
@@ -152,11 +142,7 @@ def bp_decode(
 
         var_tot = np.bincount(graph.edge_var, weights=c2v, minlength=code.k)
         posterior = l_sys + var_tot
-        v2c_new = posterior[graph.edge_var] - c2v
-        if cfg.damping > 0.0:
-            v2c = cfg.damping * v2c + (1.0 - cfg.damping) * v2c_new
-        else:
-            v2c = v2c_new
+        v2c = posterior[graph.edge_var] - c2v
 
         u_hat = hard_decision(posterior)
         converged = bool(np.array_equal(mat_vec_mul(code.g, u_hat), par_hard))

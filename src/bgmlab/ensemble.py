@@ -126,7 +126,7 @@ def _sample_g(k: int, m: int, rho: float, seed: int) -> BitMatrix:
     for _ in range(k):
         row = np.flatnonzero(rng.random(m) < rho).astype(np.int64)
         supports.append(row)
-    return BitMatrix(k, m, supports, validate=False)
+    return BitMatrix(k, m, supports)
 
 
 def sample_bgm(k: int, m: int, rho: float, seed: int) -> SystematicCode:
@@ -143,7 +143,7 @@ def sample_fixed_row_weight(k: int, m: int, w: int, seed: int) -> SystematicCode
         raise ValueError(f"row weight {w} outside [0, {m}]")
     rng = make_rng(seed, "fixed-row-weight-sample")
     supports = [np.sort(rng.choice(m, size=w, replace=False)) for _ in range(k)]
-    g = BitMatrix(k, m, supports, validate=False)
+    g = BitMatrix(k, m, supports)
     return SystematicCode(
         k, m, g, meta={"construction": "fixed-row-weight", "w": w, "seed": seed}
     )

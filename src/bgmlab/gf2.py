@@ -1,10 +1,10 @@
 """GF(2) bit vectors and sparse binary matrices.
 
 Bit vectors are plain numpy uint8 arrays with values in {0, 1}; XOR is the
-`^` operator.  Matrices are stored row-sparse (sorted column indices per
-row) because the generator matrices of interest are very sparse, typically
-density 0.01 or below.  A dense uint8 view is available for small matrices
-and oracle work.
+`^` operator.  Matrices are stored as the array of their ones' (row, col)
+positions, sorted row-major, because the generator matrices of interest
+are very sparse, typically density 0.01 or below.  A dense uint8 view is
+available for small matrices and oracle work.
 """
 
 from __future__ import annotations
@@ -55,26 +55,44 @@ def weight(v) -> int:
 
 
 class BitMatrix:
-    """Binary matrix stored as sorted column-index arrays, one per row."""
+    """Binary matrix stored as its ones: an (nnz, 2) array of (row, col) pairs.
 
-    __slots__ = ("rows", "cols", "row_supports")
+    The pairs are sorted row-major with no duplicates.  For a generator
+    matrix G they are also the edges (variable, check) of the code's normal
+    graph, so every layer that reads G reads this one array.
+    """
 
-    def __init__(self, rows: int, cols: int, row_supports, validate: bool = True):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
+    __slots__ = ("rows", "cols", "edges")
+
+    def __init__(self, rows: int, cols: int, row_supports):
         if len(row_supports) != rows:
             raise ValueError(f"need {rows} row supports, got {len(row_supports)}")
-        supports = [np.asarray(s, dtype=np.int64) for s in row_supports]
-        if validate:
-            for i, s in enumerate(supports):
-                if s.size:
-                    if s[0] < 0 or s[-1] >= cols or np.any(np.diff(s) <= 0):
-                        raise ValueError(
-                            f"row {i}: supports must be sorted, unique, in [0, {cols})"
-                        )
-        self.rows = rows
-        self.cols = cols
-        self.row_supports = supports
+        supports = [np.asarray(s, dtype=np.int64).reshape(-1) for s in row_supports]
+        row = np.repeat(np.arange(rows, dtype=np.int64), [s.size for s in supports])
+        col = np.concatenate([np.empty(0, dtype=np.int64), *supports])
+        self._store(rows, cols, np.column_stack([row, col]))
+
+    def _store(self, rows: int, cols: int, edges: np.ndarray) -> None:
+        """Check an (nnz, 2) int64 array no caller holds, and keep it read-only."""
+        if rows < 0 or cols < 0:
+            raise ValueError("negative dimensions")
+        if edges.size and (
+            edges.min() < 0
+            or edges[:, 0].max() >= rows
+            or edges[:, 1].max() >= cols
+            or np.any(np.diff(edges[:, 0] * cols + edges[:, 1]) <= 0)
+        ):
+            raise ValueError(f"entries must be unique, sorted row-major, inside {rows}x{cols}")
+        # column-major, so that the row and the column arrays are contiguous views
+        edges = np.asfortranarray(edges)
+        edges.flags.writeable = False
+        self.rows, self.cols, self.edges = rows, cols, edges
+
+    @classmethod
+    def _from_edges(cls, rows: int, cols: int, edges) -> "BitMatrix":
+        m = cls.__new__(cls)
+        m._store(rows, cols, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+        return m
 
     @classmethod
     def from_dense(cls, a) -> "BitMatrix":
@@ -83,59 +101,59 @@ class BitMatrix:
             raise ValueError("expected a 2-D array")
         if a.size and a.max() > 1:
             raise ValueError("entries must be 0 or 1")
-        supports = [np.flatnonzero(row).astype(np.int64) for row in a]
-        return cls(a.shape[0], a.shape[1], supports, validate=False)
+        return cls._from_edges(a.shape[0], a.shape[1], np.argwhere(a))
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [np.array([i], dtype=np.int64) for i in range(n)], validate=False)
+        return cls._from_edges(n, n, np.column_stack([np.arange(n), np.arange(n)]))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        empty = np.empty(0, dtype=np.int64)
-        return cls(rows, cols, [empty] * rows, validate=False)
+        return cls._from_edges(rows, cols, [])
+
+    @property
+    def row_supports(self) -> list[np.ndarray]:
+        """Sorted column indices of each row, split off `edges` anew on each access."""
+        ends = np.searchsorted(self.edges[:, 0], np.arange(self.rows + 1))
+        return [self.edges[a:b, 1] for a, b in zip(ends[:-1], ends[1:])]
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i, s in enumerate(self.row_supports):
-            a[i, s] = 1
+        a[self.edges[:, 0], self.edges[:, 1]] = 1
         return a
 
     def row_weights(self) -> np.ndarray:
-        return np.array([s.size for s in self.row_supports], dtype=np.int64)
+        return np.bincount(self.edges[:, 0], minlength=self.rows)
+
+    def col_weights(self) -> np.ndarray:
+        return np.bincount(self.edges[:, 1], minlength=self.cols)
 
     def nnz(self) -> int:
-        return int(self.row_weights().sum())
+        return self.edges.shape[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
         return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.row_supports, other.row_supports)
-            )
+            (self.rows, self.cols) == (other.rows, other.cols)
+            and np.array_equal(self.edges, other.edges)
         )
 
     def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
+        return f"{type(self).__name__}({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
 def mat_vec_mul(m: BitMatrix, v) -> np.ndarray:
     """Row-vector times matrix over GF(2): returns v @ m with XOR accumulation.
 
-    `v` has one bit per matrix row; the result has one bit per column.
+    `v` has one bit per matrix row; the result has one bit per column: the
+    parity of the ones that sit in the rows v selects.
     """
     v = np.asarray(v)
     if v.shape != (m.rows,):
         raise ValueError(f"vector length {v.shape} does not match {m.rows} rows")
-    active = np.flatnonzero(v)
-    if active.size == 0:
-        return np.zeros(m.cols, dtype=np.uint8)
-    stacked = np.concatenate([m.row_supports[i] for i in active])
-    return (np.bincount(stacked, minlength=m.cols) & 1).astype(np.uint8)
+    selected = m.edges[v[m.edges[:, 0]] != 0, 1]
+    return (np.bincount(selected, minlength=m.cols) & 1).astype(np.uint8)
 
 
 def density(m: BitMatrix) -> float:
@@ -146,12 +164,9 @@ def density(m: BitMatrix) -> float:
 
 
 def _rows_as_ints(m: BitMatrix) -> list[int]:
-    out = []
-    for s in m.row_supports:
-        acc = 0
-        for j in s.tolist():
-            acc |= 1 << j
-        out.append(acc)
+    out = [0] * m.rows
+    for i, j in m.edges.tolist():
+        out[i] |= 1 << j
     return out
 
 
@@ -191,6 +206,8 @@ def load_matrix(path) -> BitMatrix:
             if line == "" and i < rows:
                 raise ValueError(f"{path}: truncated after {i} rows")
             supports.append(np.array([int(t) for t in line.split()], dtype=np.int64))
+        if fh.read().strip():
+            raise ValueError(f"{path}: data after the {rows} rows the header announces")
     return BitMatrix(rows, cols, supports)
 
 

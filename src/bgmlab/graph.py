@@ -18,7 +18,7 @@ toward a target r*.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,51 +34,33 @@ __all__ = [
     "GraphBuildResult",
     "configuration_model",
     "sample_neutral_graph",
-    "graph_to_generator",
-    "generator_to_graph",
 ]
 
 
-@dataclass(eq=False)
-class BipartiteGraph:
-    """Simple bipartite graph: n_var left nodes, n_chk right nodes."""
+class BipartiteGraph(BitMatrix):
+    """Simple bipartite graph: n_var left nodes, n_chk right nodes.
 
-    n_var: int
-    n_chk: int
-    edges: np.ndarray  # (M, 2) int64 rows (v, c), no duplicates
-    var_adj: list = field(init=False, repr=False)
-    chk_adj: list = field(init=False, repr=False)
+    It is its own generator matrix: row v of G holds the checks joined to
+    variable v.  The edges may be given in any order; they are kept sorted.
+    """
 
-    def __post_init__(self):
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if e.size:
-            if e[:, 0].min() < 0 or e[:, 0].max() >= self.n_var:
-                raise ValueError("variable endpoint out of range")
-            if e[:, 1].min() < 0 or e[:, 1].max() >= self.n_chk:
-                raise ValueError("check endpoint out of range")
-            keys = e[:, 0] * self.n_chk + e[:, 1]
-            if np.unique(keys).size != keys.size:
-                raise ValueError("parallel edges are not allowed")
-        self.edges = e
-        self.var_adj = self._adjacency(e[:, 0], e[:, 1], self.n_var)
-        self.chk_adj = self._adjacency(e[:, 1], e[:, 0], self.n_chk)
+    __slots__ = ()
 
-    @staticmethod
-    def _adjacency(src, dst, n) -> list:
-        order = np.lexsort((dst, src))
-        s, d = src[order], dst[order]
-        bounds = np.searchsorted(s, np.arange(n + 1))
-        return [d[bounds[i] : bounds[i + 1]] for i in range(n)]
+    def __init__(self, n_var: int, n_chk: int, edges):
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self._store(n_var, n_chk, e[np.lexsort((e[:, 1], e[:, 0]))])
+
+    @property
+    def n_var(self) -> int:
+        return self.rows
+
+    @property
+    def n_chk(self) -> int:
+        return self.cols
 
     @property
     def m_edges(self) -> int:
-        return self.edges.shape[0]
-
-    def var_degrees(self) -> np.ndarray:
-        return np.array([a.size for a in self.var_adj], dtype=np.int64)
-
-    def chk_degrees(self) -> np.ndarray:
-        return np.array([a.size for a in self.chk_adj], dtype=np.int64)
+        return self.nnz()
 
 
 @dataclass
@@ -97,12 +79,12 @@ class DegreeStats:
     sigma_q2: float
 
 
-def degree_stats(g: BipartiteGraph) -> DegreeStats:
-    dv = g.var_degrees()
-    dc = g.chk_degrees()
+def degree_stats(g: BitMatrix) -> DegreeStats:
+    dv = g.row_weights()
+    dc = g.col_weights()
     all_deg = np.concatenate([dv, dc])
     n_nodes = all_deg.size
-    if g.m_edges == 0:
+    if g.nnz() == 0:
         raise ValueError("degree statistics need at least one edge")
     dmax = int(all_deg.max())
     p = np.bincount(all_deg, minlength=dmax + 1) / n_nodes
@@ -111,14 +93,14 @@ def degree_stats(g: BipartiteGraph) -> DegreeStats:
     q = jp / jp.sum()
     e = np.zeros((dmax + 1, dmax + 1))
     np.add.at(e, (dv[g.edges[:, 0]], dc[g.edges[:, 1]]), 1.0)
-    e /= g.m_edges
+    e /= g.nnz()
     e = 0.5 * (e + e.T)
     mean_q = float((j * q).sum())
     sigma_q2 = float((j * j * q).sum() - mean_q**2)
     return DegreeStats(p=p, q=q, e=e, sigma_q2=sigma_q2)
 
 
-def assortativity(g: BipartiteGraph) -> float:
+def assortativity(g: BitMatrix) -> float:
     """Degree correlation over edges; NaN when every node has equal degree."""
     st = degree_stats(g)
     if st.sigma_q2 <= 0.0:
@@ -179,15 +161,10 @@ def _proposals(rng: np.random.Generator, m_edges: int):
         yield from rng.integers(0, m_edges, size=(_DRAW_BATCH, 2)).tolist()
 
 
-def sample_neutral_graph(d1, d2, seed: int = 0) -> BipartiteGraph:
-    """Uniform stub pairing with parallel edges repaired by edge swaps.
-
-    Sequences that admit no simple bipartite graph are rejected before any
-    sampling.  Each parallel edge then trades its check end with a random
-    edge, one swap at a time, whenever its new edge is not yet in the graph.
-    The partner's new edge may itself be a duplicate, which is then repaired
-    in turn, so no swap adds a duplicate and both degree sequences are kept.
-    """
+def _pair_stubs(d1, d2, seed: int) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """Checked sequences and the (v, c) endpoint lists of a repaired stub
+    pairing, in pairing order: configuration_model draws its swap proposals
+    by index into these lists."""
     d1, d2 = _checked_sequences(d1, d2)
     if not _admits_simple_graph(d1, d2):
         raise GraphGenerationError("the degree sequences admit no simple bipartite graph")
@@ -214,7 +191,20 @@ def sample_neutral_graph(d1, d2, seed: int = 0) -> BipartiteGraph:
         count[v[j] * n_chk + c[j]] += 1
         if count[v[j] * n_chk + c[j]] > 1:
             dups.append(j)
-    return BipartiteGraph(d1.size, n_chk, np.column_stack([v, c]))
+    return d1, d2, v, c
+
+
+def sample_neutral_graph(d1, d2, seed: int = 0) -> BipartiteGraph:
+    """Uniform stub pairing with parallel edges repaired by edge swaps.
+
+    Sequences that admit no simple bipartite graph are rejected before any
+    sampling.  Each parallel edge then trades its check end with a random
+    edge, one swap at a time, whenever its new edge is not yet in the graph.
+    The partner's new edge may itself be a duplicate, which is then repaired
+    in turn, so no swap adds a duplicate and both degree sequences are kept.
+    """
+    d1, d2, v, c = _pair_stubs(d1, d2, seed)
+    return BipartiteGraph(d1.size, d2.size, np.column_stack([v, c]))
 
 
 def configuration_model(
@@ -244,21 +234,18 @@ def configuration_model(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    g = sample_neutral_graph(d1, d2, seed)
-    st = degree_stats(g)
+    d1, d2, v, c = _pair_stubs(d1, d2, seed)
+    n_var, n_chk = d1.size, d2.size
+    st = degree_stats(BipartiteGraph(n_var, n_chk, np.column_stack([v, c])))
     if st.sigma_q2 <= 0.0:
         raise GraphGenerationError("assortativity is undefined when every node has the same degree")
     j = np.arange(st.q.size)
     mu_q = float((j * st.q).sum())
-    m_edges = g.m_edges
+    m_edges = len(v)
     s_target = m_edges * (r_star * st.sigma_q2 + mu_q**2)
     tol = m_edges * st.sigma_q2 * epsilon / 2
 
-    n_chk = g.n_chk
-    v = g.edges[:, 0].tolist()
-    c = g.edges[:, 1].tolist()
-    kv = g.var_degrees().tolist()
-    kc = g.chk_degrees().tolist()
+    kv, kc = d1.tolist(), d2.tolist()
     keys = {vi * n_chk + ci for vi, ci in zip(v, c)}
     s = sum(kv[vi] * kc[ci] for vi, ci in zip(v, c))
     swaps = 0
@@ -280,7 +267,7 @@ def configuration_model(
         c[a], c[b] = c2, c1
         s = s_new
         swaps += 1
-    graph = BipartiteGraph(g.n_var, n_chk, np.column_stack([v, c]))
+    graph = BipartiteGraph(n_var, n_chk, np.column_stack([v, c]))
     result = GraphBuildResult(graph, assortativity(graph), swaps)
     if abs(result.r_measured - r_star) > epsilon:
         why = "rewiring ran out of proposals" if movable else "a side with one degree left r fixed"
@@ -291,15 +278,3 @@ def configuration_model(
             best_result=result,
         )
     return result
-
-
-def graph_to_generator(g: BipartiteGraph) -> BitMatrix:
-    """Adjacency as a generator matrix: G[v, c] = 1 iff v and c are joined."""
-    supports = [np.sort(a).astype(np.int64) for a in g.var_adj]
-    return BitMatrix(g.n_var, g.n_chk, supports, validate=False)
-
-
-def generator_to_graph(g_mat: BitMatrix) -> BipartiteGraph:
-    edges = [(i, int(j)) for i in range(g_mat.rows) for j in g_mat.row_supports[i]]
-    arr = np.array(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
-    return BipartiteGraph(g_mat.rows, g_mat.cols, arr)

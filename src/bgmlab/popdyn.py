@@ -20,6 +20,7 @@ from scipy.stats import binom
 
 from .channel import Channel, llr, transmit
 from .decode import _ATANH_LIMIT
+from .gf2 import BitMatrix
 from .rng import make_rng
 
 __all__ = [
@@ -122,15 +123,16 @@ def law_from_ensemble(k: int, m: int, rho: float, mass_tol: float = 1e-9) -> Edg
     )
 
 
-def law_from_graph(g) -> EdgeDegreeLaw:
-    """Joint degree law of a built normal graph (a bgmlab.graph.BipartiteGraph).
+def law_from_graph(g: BitMatrix) -> EdgeDegreeLaw:
+    """Joint degree law of a code's normal graph: its generator matrix G,
+    such as a built bgmlab.graph.BipartiteGraph.
 
     Counts the graph's edges by (variable degree, check degree + 1), the one
     counting the parity slot, so density evolution models the exact graph
     that is simulated, degree correlation included.
     """
-    dv = g.var_degrees()[g.edges[:, 0]]
-    dc = g.chk_degrees()[g.edges[:, 1]] + 1
+    dv = g.row_weights()[g.edges[:, 0]]
+    dc = g.col_weights()[g.edges[:, 1]] + 1
     var_degrees, iv = np.unique(dv, return_inverse=True)
     chk_degrees, ic = np.unique(dc, return_inverse=True)
     joint = np.zeros((var_degrees.size, chk_degrees.size))

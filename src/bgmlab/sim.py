@@ -27,7 +27,7 @@ import hashlib
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from typing import Callable
 
 import numpy as np
@@ -93,10 +93,13 @@ class SimConfig:
             raise ValueError(f"unknown sweep unit {self.sweep_unit!r}")
         if self.sweep_unit == "ebn0_db" and self.channel.get("type") != "awgn":
             raise ValueError("ebn0_db sweeps only make sense for awgn")
-        if self.sweep_unit == "ebn0_db" and self.code.get("construction") == "uncoded":
+        kind = self.code.get("construction")
+        if self.sweep_unit == "ebn0_db" and kind == "uncoded":
             raise ValueError("ebn0_db sweeps need a code to define the rate")
-        if self.code.get("construction") == "concat" and self.decoder != BpConfig():
-            raise ValueError("a concat system takes its receiver settings from the code block, not decoder")
+        if kind in ("uncoded", "concat") and self.decoder != BpConfig():
+            raise ValueError(f"decoder holds a plain code's receiver settings; a {kind} system takes none")
+        if kind == "uncoded" and "k" not in self.code:
+            raise ValueError("uncoded code spec missing key: k")
         if self.chunk < 1:
             raise ValueError("chunk must be positive")
         if self.workers < 0:
@@ -150,6 +153,10 @@ def config_from_dict(raw: dict) -> SimConfig:
         sweep = tuple(float(x) for x in raw["sweep"])
     except KeyError as exc:
         raise ValueError(f"config missing required key: {exc.args[0]}") from None
+    for block, cls in (("stop", StopRule), ("decoder", BpConfig)):
+        unknown = sorted(set(raw.get(block, {})) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {block} key: {unknown[0]}")
     stop = StopRule(**raw.get("stop", {}))
     decoder = BpConfig(**raw.get("decoder", {}))
     return SimConfig(
@@ -172,7 +179,9 @@ def config_digest(cfg: SimConfig) -> str:
         "sweep": list(cfg.sweep),
         "sweep_unit": cfg.sweep_unit,
         "stop": asdict(cfg.stop),
-        "decoder": asdict(cfg.decoder),
+        # a retired key, kept at the only value it ever took, so that the
+        # digests of earlier campaigns still match
+        "decoder": {"damping": 0.0, **asdict(cfg.decoder)},
         "seed": cfg.seed,
         "chunk": cfg.chunk,
     }
@@ -188,23 +197,26 @@ def build_code(spec: dict) -> SystematicCode | ConcatSystem | None:
     construction, whose "inner" block is itself a systematic code spec.
     """
     kind = spec.get("construction")
-    if kind == "uncoded":
-        return None
-    if kind == "bgm":
-        return sample_bgm(int(spec["k"]), int(spec["m"]), float(spec["rho"]), int(spec.get("seed", 0)))
-    if kind == "fixed-row-weight":
-        return sample_fixed_row_weight(int(spec["k"]), int(spec["m"]), int(spec["w"]), int(spec.get("seed", 0)))
-    if kind == "graph-file":
-        code = load_code(spec["path"])
-        if not isinstance(code, SystematicCode):
-            raise ValueError("graph-file construction needs a systematic code matrix")
-        return code
-    if kind == "concat":
-        inner = build_code(spec["inner"])
-        if not isinstance(inner, SystematicCode):
-            raise ValueError("concat construction needs a systematic inner code")
-        outer = extended_hamming(int(spec["outer_r"]))
-        return ConcatSystem(outer, int(spec["blocks"]), inner, interleaver_seed=int(spec.get("interleaver_seed", 0)))
+    try:
+        if kind == "uncoded":
+            return None
+        if kind == "bgm":
+            return sample_bgm(int(spec["k"]), int(spec["m"]), float(spec["rho"]), int(spec.get("seed", 0)))
+        if kind == "fixed-row-weight":
+            return sample_fixed_row_weight(int(spec["k"]), int(spec["m"]), int(spec["w"]), int(spec.get("seed", 0)))
+        if kind == "graph-file":
+            code = load_code(spec["path"])
+            if not isinstance(code, SystematicCode):
+                raise ValueError("graph-file construction needs a systematic code matrix")
+            return code
+        if kind == "concat":
+            inner = build_code(spec["inner"])
+            if not isinstance(inner, SystematicCode):
+                raise ValueError("concat construction needs a systematic inner code")
+            outer = extended_hamming(int(spec["outer_r"]))
+            return ConcatSystem(outer, int(spec["blocks"]), inner, interleaver_seed=int(spec.get("interleaver_seed", 0)))
+    except KeyError as exc:
+        raise ValueError(f"{kind} code spec missing key: {exc.args[0]}") from None
     raise ValueError(f"unknown code construction {kind!r}")
 
 

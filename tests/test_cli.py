@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import bgmlab
@@ -129,6 +128,22 @@ class TestSimulate:
         assert code == 2
         assert err == "error: outer stream length 3*8 does not match inner k=16\n"
 
+    @pytest.mark.parametrize("fault", (
+        {"code": {"construction": "bgm", "m": 8, "rho": 0.1}},
+        {"decoder": {"max_iters": 5}},
+        {"stop": {"max_frame": 5}},
+    ))
+    def test_config_error_exits_two_with_one_line(self, capsys, tmp_path, fault):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({
+            "code": {"construction": "bgm", "k": 8, "m": 8, "rho": 0.1},
+            "channel": {"type": "awgn"}, "sweep": [0.5], **fault,
+        }))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        key = {"code": "k", "decoder": "max_iters", "stop": "max_frame"}[next(iter(fault))]
+        assert err.startswith("error: ") and err.endswith(f"key: {key}\n") and err.count("\n") == 1
+
     def test_missing_config_exits_nonzero(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--config", str(tmp_path / "nope.json"),
@@ -151,14 +166,13 @@ class TestGraphgen:
         )
         assert code == 0
         assert "r_measured=" in stdout
-        edges = np.loadtxt(out, dtype=np.int64)
-        assert edges.shape == (120, 2)
-        var_deg = np.bincount(edges[:, 0], minlength=40)
-        assert sorted(var_deg.tolist()) == sorted([2] * 20 + [4] * 20)
+        g = load_code(out).g
+        assert (g.rows, g.cols, g.nnz()) == (40, 30, 120)
+        assert sorted(g.row_weights().tolist()) == sorted([2] * 20 + [4] * 20)
 
         with open(out + ".json") as fh:
             sidecar = json.load(fh)
-        assert sidecar["seed"] == 4
+        assert (sidecar["k"], sidecar["m"], sidecar["seed"]) == (40, 30, 4)
         assert abs(sidecar["r_measured"]) <= 0.3
         assert sidecar["swaps"] >= 0
 
@@ -209,14 +223,44 @@ class TestPopdynCommand:
         assert len(out.strip().splitlines()) == 4
 
     def test_graph_file_without_header_exits_two(self, capsys, tmp_path):
-        graph = tmp_path / "graph.txt"
-        graph.write_text("0 0\n1 1\n")
-        code, _, err = run_cli(
-            capsys, "popdyn", "--graph", str(graph), "--channel", "bec", "--param", "0.2",
-            "--population", "200", "--iterations", "1", "--seed", "1",
+        # edge lists, with or without the "# n_var n_chk" line graphgen once wrote
+        for text in ("0 0\n1 1\n", "# 2 2\n0 0\n1 1\n"):
+            graph = tmp_path / "graph.txt"
+            graph.write_text(text)
+            code, _, err = run_cli(
+                capsys, "popdyn", "--graph", str(graph), "--channel", "bec", "--param", "0.2",
+                "--population", "200", "--iterations", "1", "--seed", "1",
+            )
+            assert code == 2
+            assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestGraphgenPipeline:
+    def test_one_file_feeds_simulate_bounds_and_popdyn(self, capsys, tmp_path):
+        # graphgen's output is a saved code: a graph-file campaign, bounds and popdyn all read it
+        (tmp_path / "var.txt").write_text("\n".join(["2"] * 20 + ["4"] * 20))
+        (tmp_path / "chk.txt").write_text("\n".join(["3"] * 20 + ["6"] * 10))
+        graph = str(tmp_path / "graph.txt")
+        code, _, _ = run_cli(
+            capsys, "graphgen", "--var-degrees", str(tmp_path / "var.txt"),
+            "--chk-degrees", str(tmp_path / "chk.txt"), "--r-star", "-0.3", "--seed", "2", "--out", graph,
         )
-        assert code == 2
-        assert "error:" in err
+        assert code == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "code": {"construction": "graph-file", "path": graph}, "channel": {"type": "awgn"},
+            "sweep": [0.8], "stop": {"min_frame_errors": 1000, "max_frames": 4}, "seed": 1,
+        }))
+        csv = tmp_path / "run.csv"
+        assert run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(csv))[0] == 0
+        assert csv.read_text().splitlines()[2].split(",")[:2] == ["0.8", "4"]
+        code, out, _ = run_cli(capsys, "bounds", "--code", graph, "--sigma", "0.8")
+        assert code == 0 and out.startswith("ber_lower_bound: ")
+        code, out, _ = run_cli(
+            capsys, "popdyn", "--graph", graph, "--channel", "bec", "--param", "0.2",
+            "--population", "2000", "--iterations", "3", "--seed", "1",
+        )
+        assert code == 0 and len(out.strip().splitlines()) == 4
 
 
 class TestExponentCommand:

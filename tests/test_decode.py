@@ -42,8 +42,6 @@ class TestBpConfig:
         with pytest.raises(ValueError):
             BpConfig(max_iterations=0)
         with pytest.raises(ValueError):
-            BpConfig(damping=1.0)
-        with pytest.raises(ValueError):
             BpConfig(llr_clamp=0.0)
 
 

@@ -17,6 +17,7 @@ from bgmlab.gf2 import (
     save_matrix,
     weight,
 )
+from bgmlab.graph import BipartiteGraph
 
 
 def ref_rank(dense: np.ndarray) -> int:
@@ -73,6 +74,9 @@ class TestBitMatrix:
         assert np.array_equal(m.to_dense(), d)
         assert m.nnz() == 5
         assert np.array_equal(m.row_weights(), [2, 0, 3])
+        assert np.array_equal(m.col_weights(), [2, 1, 2])
+        assert [s.tolist() for s in m.row_supports] == [[0, 2], [], [0, 1, 2]]
+        assert m.edges.tolist() == [[0, 0], [0, 2], [2, 0], [2, 1], [2, 2]]
 
     def test_identity(self):
         assert np.array_equal(BitMatrix.identity(3).to_dense(), np.eye(3, dtype=np.uint8))
@@ -85,6 +89,9 @@ class TestBitMatrix:
     def test_out_of_range_support_rejected(self):
         with pytest.raises(ValueError):
             BitMatrix(1, 3, [[3]])
+        for unsorted_or_repeated in ([[2, 1]], [[1, 1]]):
+            with pytest.raises(ValueError):
+                BitMatrix(1, 3, unsorted_or_repeated)
 
     def test_density(self):
         m = BitMatrix.from_dense(np.array([[1, 0], [1, 1]], dtype=np.uint8))
@@ -113,6 +120,9 @@ class TestMatVec:
         )
         got = mat_vec_mul(BitMatrix.from_dense(d), v)
         assert np.array_equal(got, (v @ d) % 2)
+        # the same matrix as a normal graph whose edges arrive in reverse order
+        graph = BipartiteGraph(d.shape[0], d.shape[1], np.argwhere(d)[::-1])
+        assert np.array_equal(mat_vec_mul(graph, v), (v @ d) % 2)
 
     @given(dense_strategy(), st.data())
     @settings(max_examples=40, deadline=None)
@@ -154,6 +164,12 @@ class TestSerialization:
         save_matrix(m, path)
         back = load_matrix(path)
         assert back.rows == 3 and back.cols == 7 and back.nnz() == 0
+
+    def test_data_after_the_rows_rejected(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("1 2\n0\n1\n")
+        with pytest.raises(ValueError, match="data after the 1 rows"):
+            load_matrix(path)
 
 
 class TestRref:

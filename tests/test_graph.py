@@ -1,5 +1,6 @@
 """Degree statistics, assortativity, and targeted graph generation."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -13,8 +14,6 @@ from bgmlab.graph import (
     assortativity,
     configuration_model,
     degree_stats,
-    generator_to_graph,
-    graph_to_generator,
     sample_neutral_graph,
 )
 from bgmlab.rng import make_rng
@@ -31,8 +30,8 @@ def binomial_profile(n, p, seed, tag="prof"):
 
 
 def criterion6_profiles():
-    g = generator_to_graph(sample_bgm(1024, 1024, 0.01, seed=5).g)
-    return g.var_degrees(), g.chk_degrees()
+    g = sample_bgm(1024, 1024, 0.01, seed=5).g
+    return g.row_weights(), g.col_weights()
 
 
 class TestBipartiteGraph:
@@ -49,10 +48,10 @@ class TestBipartiteGraph:
     def test_adjacency_and_degrees(self):
         g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (2, 1)])
         assert g.m_edges == 3
-        assert np.array_equal(g.var_degrees(), [2, 0, 1])
-        assert np.array_equal(g.chk_degrees(), [1, 2])
-        assert np.array_equal(g.var_adj[0], [0, 1])
-        assert np.array_equal(g.chk_adj[1], [0, 2])
+        assert np.array_equal(g.row_weights(), [2, 0, 1])
+        assert np.array_equal(g.col_weights(), [1, 2])
+        assert np.array_equal(g.row_supports[0], [0, 1])
+        assert np.array_equal(g.edges[g.edges[:, 1] == 1, 0], [0, 2])
 
 
 class TestDegreeStats:
@@ -145,8 +144,8 @@ class TestSampleNeutralGraph:
         for seed in range(20):
             g = sample_neutral_graph([4] * 4, [4] * 4, seed=seed)
             assert g.m_edges == 16
-            assert np.array_equal(g.var_degrees(), [4] * 4)
-            assert np.array_equal(g.chk_degrees(), [4] * 4)
+            assert np.array_equal(g.row_weights(), [4] * 4)
+            assert np.array_equal(g.col_weights(), [4] * 4)
 
 
 class TestConfigurationModel:
@@ -155,9 +154,11 @@ class TestConfigurationModel:
         a = configuration_model(prof, prof, r_star=-0.2, epsilon=0.05, seed=5)
         b = configuration_model(prof, prof, r_star=-0.2, epsilon=0.05, seed=5)
         assert np.array_equal(a.graph.edges, b.graph.edges)
+        # pinned sorted-edge digest: the stored edge order must not steer the rewiring
+        assert hashlib.sha256(a.graph.edges.tobytes()).hexdigest()[:16] == "b4f8994d00c152f7"
         assert abs(a.r_measured + 0.2) <= 0.05
-        assert np.array_equal(a.graph.var_degrees(), prof)
-        assert np.array_equal(a.graph.chk_degrees(), prof)
+        assert np.array_equal(a.graph.row_weights(), prof)
+        assert np.array_equal(a.graph.col_weights(), prof)
 
     def test_assortative_target_small_scale(self):
         prof = binomial_profile(240, 0.02, 3, "smallprof")
@@ -187,8 +188,8 @@ class TestConfigurationModel:
         d1, d2 = criterion6_profiles()
         res = configuration_model(d1, d2, r_star=0.2, epsilon=0.02, seed=0)
         assert abs(res.r_measured - 0.2) <= 0.02
-        assert np.array_equal(res.graph.var_degrees(), d1)
-        assert np.array_equal(res.graph.chk_degrees(), d2)
+        assert np.array_equal(res.graph.row_weights(), d1)
+        assert np.array_equal(res.graph.col_weights(), d2)
 
     @pytest.mark.parametrize("seed", (0, 10))
     @pytest.mark.parametrize("r_star", (-0.5, -0.3))
@@ -197,8 +198,8 @@ class TestConfigurationModel:
         res = configuration_model(d1, d2, r_star, epsilon=0.02, seed=seed)
         assert abs(res.r_measured - r_star) <= 0.02
         assert res.r_measured == assortativity(res.graph)
-        assert np.array_equal(res.graph.var_degrees(), d1)
-        assert np.array_equal(res.graph.chk_degrees(), d2)
+        assert np.array_equal(res.graph.row_weights(), d1)
+        assert np.array_equal(res.graph.col_weights(), d2)
 
     def test_unreachable_target_carries_best_build(self):
         prof = binomial_profile(240, 0.02, 3, "smallprof")
@@ -206,12 +207,12 @@ class TestConfigurationModel:
             configuration_model(prof, prof, r_star=-1.0, epsilon=0.02, seed=1)
         assert err.value.best_result is not None
         assert err.value.best_r == err.value.best_result.r_measured
-        assert np.array_equal(err.value.best_result.graph.var_degrees(), prof)
+        assert np.array_equal(err.value.best_result.graph.row_weights(), prof)
 
     def test_single_degree_side_skips_the_swap_search(self):
         # every variable node has degree 8, so no swap can move r
-        g = generator_to_graph(sample_fixed_row_weight(1024, 1024, 8, seed=1).g)
-        d1, d2 = g.var_degrees(), g.chk_degrees()
+        g = sample_fixed_row_weight(1024, 1024, 8, seed=1).g
+        d1, d2 = g.row_weights(), g.col_weights()
         t0 = time.perf_counter()
         with pytest.raises(GraphGenerationError) as err:
             configuration_model(d1, d2, r_star=-0.3, epsilon=0.02, seed=0)
@@ -225,22 +226,22 @@ class TestConfigurationModel:
 
 
 class TestGeneratorConversion:
+    """A graph is its generator matrix: row v holds the checks joined to v."""
+
     def test_complete_bipartite_is_all_ones(self):
-        mat = graph_to_generator(complete_bipartite(2, 2))
-        assert np.all(mat.to_dense() == 1)
+        assert np.all(complete_bipartite(2, 2).to_dense() == 1)
 
     def test_empty_graph_is_zero_matrix(self):
         g = BipartiteGraph(3, 4, np.empty((0, 2), dtype=np.int64))
-        assert not graph_to_generator(g).to_dense().any()
+        assert not g.to_dense().any()
 
     def test_round_trip_identity(self):
         prof1 = binomial_profile(48, 0.06, 4)
         prof2 = binomial_profile(48, 0.06, 4)
         g = sample_neutral_graph(prof1, prof2, seed=8)
-        back = generator_to_graph(graph_to_generator(g))
-        key = lambda e: (e[:, 0] * g.n_chk + e[:, 1])
-        assert np.array_equal(np.sort(key(g.edges)), np.sort(key(back.edges)))
+        shuffled = make_rng(8, "shuffle").permutation(g.edges)
+        assert BipartiteGraph(g.n_var, g.n_chk, shuffled) == g
 
     def test_matrix_round_trip(self):
         mat = BitMatrix(3, 5, [[0, 4], [], [1, 2, 3]])
-        assert graph_to_generator(generator_to_graph(mat)) == mat
+        assert BipartiteGraph(mat.rows, mat.cols, mat.edges[::-1]) == mat

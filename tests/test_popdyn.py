@@ -6,7 +6,7 @@ from scipy.stats import binom
 
 from bgmlab.channel import Bec, BpskAwgn
 from bgmlab.ensemble import sample_bgm
-from bgmlab.graph import BipartiteGraph, configuration_model, generator_to_graph
+from bgmlab.graph import BipartiteGraph, configuration_model
 from bgmlab.popdyn import (
     EdgeDegreeLaw,
     law_from_ensemble,
@@ -14,6 +14,8 @@ from bgmlab.popdyn import (
     popdyn_run,
     regular_law,
 )
+
+import bec_popdyn
 
 
 def law_correlation(law):
@@ -29,9 +31,9 @@ def law_correlation(law):
 
 def graph_law(r_star, k=256, rho=0.04):
     """Joint law of a graph built at r_star over a sampled BGM profile."""
-    profile = generator_to_graph(sample_bgm(k, k, rho, seed=1).g)
+    profile = sample_bgm(k, k, rho, seed=1).g
     built = configuration_model(
-        profile.var_degrees(), profile.chk_degrees(), r_star, epsilon=0.05, seed=0
+        profile.row_weights(), profile.col_weights(), r_star, epsilon=0.05, seed=0
     )
     return law_from_graph(built.graph)
 
@@ -116,9 +118,7 @@ class TestPopdynRun:
             records = popdyn_run(
                 Bec(eps), regular_law(3, 6), population=n, iterations=12, seed=3
             )
-            x = 1.0
-            for rec in records:
-                x = eps * (1.0 - (1.0 - x) ** 5) ** 2
+            for rec, x in zip(records, bec_popdyn.recursion(eps, 3, 6, 12), strict=True):
                 tol = max(0.02 * x, 6.0 * np.sqrt(max(x, 1e-12) / n))
                 assert abs(rec.edge_error_rate - x) <= tol
 

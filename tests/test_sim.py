@@ -78,6 +78,14 @@ class TestConfig:
             )
         with pytest.raises(ValueError, match="receiver settings"):
             SimConfig(code=CONCAT_8_32, channel={"type": "awgn"}, sweep=(1.0,), decoder=BpConfig(max_iterations=20))
+        # an uncoded system decides bit by bit, so a decoder block would only move the digest
+        with pytest.raises(ValueError, match="receiver settings"):
+            bsc_uncoded_config(decoder=BpConfig(max_iterations=3))
+        with pytest.raises(ValueError, match="^uncoded code spec missing key: k$"):
+            SimConfig(code={"construction": "uncoded"}, channel={"type": "bsc"}, sweep=(0.1,))
+        for block, key in (("decoder", "max_iters"), ("stop", "max_frame")):
+            with pytest.raises(ValueError, match=f"^unknown {block} key: {key}$"):
+                config_from_dict({"code": {}, "channel": {"type": "bsc"}, "sweep": [0.1], block: {key: 5}})
         with pytest.raises(ValueError):
             StopRule(min_frame_errors=0)
 
@@ -113,6 +121,12 @@ class TestBuildCode:
     def test_unknown_construction(self):
         with pytest.raises(ValueError):
             build_code({"construction": "polar"})
+
+    def test_missing_key_is_named(self):
+        with pytest.raises(ValueError, match="^bgm code spec missing key: k$"):
+            build_code({"construction": "bgm", "m": 8, "rho": 0.1})
+        with pytest.raises(ValueError, match="^bgm code spec missing key: rho$"):
+            build_code({**CONCAT_8_32, "inner": {"construction": "bgm", "k": 16, "m": 16}})
 
 
 class TestRunCampaign:
