@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -78,9 +79,9 @@ def _cmd_encode(args) -> int:
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
-    if args.seed is not None:
-        raw["seed"] = args.seed
     cfg = config_from_dict(raw)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     results = run_campaign(cfg)
     write_csv(results, cfg, args.out, timing=args.timing)
     for r in results:

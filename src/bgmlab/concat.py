@@ -17,7 +17,7 @@ import numpy as np
 
 from .gf2 import BitMatrix, gf2_null_space
 from .ensemble import SystematicCode, encode
-from .decode import BpConfig, BpGraph, DecodeOutcome, bp_decode, hard_decision
+from .decode import LLR_CLAMP, BpConfig, BpGraph, DecodeOutcome, bp_decode, hard_decision
 from .rng import make_rng
 
 __all__ = [
@@ -42,6 +42,7 @@ class ExtendedHammingCode:
     parity_check: BitMatrix = field(init=False, repr=False)
     generator: BitMatrix = field(init=False, repr=False)
     info: np.ndarray = field(init=False, repr=False)
+    trellis: SyndromeTrellis = field(init=False, repr=False)
     _gen_dense: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -67,12 +68,14 @@ class ExtendedHammingCode:
         self.info = unit[first]
         if not np.array_equal(basis[:, self.info], np.eye(self.k, dtype=np.uint8)):
             raise ValueError("generator carries no identity on its message positions")
+        self.trellis = SyndromeTrellis(self.parity_check)
 
-    def encode(self, message) -> np.ndarray:
-        message = np.asarray(message, dtype=np.uint8)
-        if message.shape != (self.k,):
-            raise ValueError(f"message length {message.shape} does not match k={self.k}")
-        return (message @ self._gen_dense) & 1
+    def encode(self, messages) -> np.ndarray:
+        """Codewords (..., n) of one message or a (..., k) stack of them."""
+        messages = np.asarray(messages, dtype=np.uint8)
+        if messages.shape[-1:] != (self.k,):
+            raise ValueError(f"message shape {messages.shape} does not end in k={self.k}")
+        return (messages @ self._gen_dense) & 1
 
 
 def extended_hamming(r: int) -> ExtendedHammingCode:
@@ -106,54 +109,57 @@ class SyndromeTrellis:
         return states
 
 
-def bcjr_decode(code: ExtendedHammingCode, prior_llrs, trellis: SyndromeTrellis | None = None) -> np.ndarray:
+def bcjr_decode(code: ExtendedHammingCode, prior_llrs) -> np.ndarray:
     """Bitwise MAP posterior LLRs over the code, from per-bit prior LLRs.
 
-    Log-domain forward-backward on the syndrome trellis.  Branch metrics
-    are +/- L/2 per bit so per-section constants cancel in the posteriors.
+    Log-domain forward-backward on the code's syndrome trellis, run at once
+    over every block of a (..., n) stack of priors.  Branch metrics are
+    +/- L/2 per bit so per-section constants cancel in the posteriors.
     """
-    if trellis is None:
-        trellis = SyndromeTrellis(code.parity_check)
+    trellis = code.trellis
     priors = np.asarray(prior_llrs, dtype=np.float64)
-    if priors.shape != (trellis.n,):
-        raise ValueError(f"prior length {priors.shape} does not match n={trellis.n}")
+    if priors.shape[-1:] != (trellis.n,):
+        raise ValueError(f"prior shape {priors.shape} does not end in n={trellis.n}")
     n = trellis.n
-    n_states = trellis.n_states
-    state_idx = np.arange(n_states)
+    state_idx = np.arange(trellis.n_states)
 
-    alpha = np.full((n + 1, n_states), -np.inf)
-    alpha[0, 0] = 0.0
+    alpha = np.full((n + 1, *priors.shape[:-1], trellis.n_states), -np.inf)
+    alpha[0, ..., 0] = 0.0
     for t in range(n):
-        half = 0.5 * priors[t]
+        half = 0.5 * priors[..., t, None]
         flip = state_idx ^ int(trellis.column_syndromes[t])
         stay = alpha[t] + half
-        move = (alpha[t] - half)[flip]
+        move = (alpha[t] - half)[..., flip]
         alpha[t + 1] = np.logaddexp(stay, move)
-        peak = alpha[t + 1].max()
-        if np.isfinite(peak):
-            alpha[t + 1] -= peak
+        alpha[t + 1] -= _finite_peak(alpha[t + 1])
 
-    posterior = np.empty(n)
-    beta = np.full(n_states, -np.inf)
-    beta[0] = 0.0
+    posterior = np.empty(priors.shape)
+    beta = np.full(alpha.shape[1:], -np.inf)
+    beta[..., 0] = 0.0
     for t in range(n - 1, -1, -1):
-        half = 0.5 * priors[t]
+        half = 0.5 * priors[..., t, None]
         flip = state_idx ^ int(trellis.column_syndromes[t])
-        num0 = _logsumexp_pair(alpha[t] + half + beta)
-        num1 = _logsumexp_pair(alpha[t] - half + beta[flip])
-        posterior[t] = num0 - num1
-        beta = np.logaddexp(beta + half, beta[flip] - half)
-        peak = beta.max()
-        if np.isfinite(peak):
-            beta -= peak
+        num0 = _logsumexp(alpha[t] + half + beta)
+        num1 = _logsumexp(alpha[t] - half + beta[..., flip])
+        posterior[..., t] = num0 - num1
+        beta = np.logaddexp(beta + half, beta[..., flip] - half)
+        beta -= _finite_peak(beta)
     return posterior
 
 
-def _logsumexp_pair(values: np.ndarray) -> float:
-    peak = values.max()
-    if not np.isfinite(peak):
-        return -np.inf
-    return float(peak + np.log(np.exp(values - peak).sum()))
+def _finite_peak(values: np.ndarray) -> np.ndarray:
+    """Maximum over the last axis (kept), or 0 where that maximum is not finite."""
+    peak = values.max(axis=-1, keepdims=True)
+    return np.where(np.isfinite(peak), peak, 0.0)
+
+
+def _logsumexp(values: np.ndarray) -> np.ndarray:
+    """peak + log sum exp(values - peak) over the last axis; -inf where the peak is not finite."""
+    peak = values.max(axis=-1)
+    finite = np.isfinite(peak)
+    shift = np.where(finite, peak, 0.0)
+    total = np.exp(values - shift[..., None]).sum(axis=-1)
+    return np.where(finite, shift + np.log(np.where(finite, total, 1.0)), -np.inf)
 
 
 @dataclass(frozen=True)
@@ -161,11 +167,10 @@ class ConcatConfig:
     rounds: int = 5
     first_round_bp_iters: int = 50
     later_bp_iters: int = 10
-    llr_clamp: float = 30.0
 
     def __post_init__(self):
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
 
 
 @dataclass(eq=False)
@@ -178,7 +183,6 @@ class ConcatSystem:
     interleaver_seed: int
     perm: np.ndarray = field(init=False, repr=False)
     graph: BpGraph = field(init=False, repr=False)
-    trellis: SyndromeTrellis = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.blocks < 1:
@@ -192,7 +196,6 @@ class ConcatSystem:
         # inner message position of outer-stream bit i
         self.perm = rng.permutation(self.inner.k)
         self.graph = BpGraph(self.inner)
-        self.trellis = SyndromeTrellis(self.outer.parity_check)
 
     def message_bits(self, inner_message) -> np.ndarray:
         """The blocks * outer.k outer message bits carried by an inner message."""
@@ -211,9 +214,8 @@ def concat_encode(system: ConcatSystem, outer_messages) -> np.ndarray:
         raise ValueError(
             f"messages shape {msgs.shape} does not match ({system.blocks}, {system.outer.k})"
         )
-    stream = np.concatenate([system.outer.encode(m) for m in msgs])
     u = np.empty(system.inner.k, dtype=np.uint8)
-    u[system.perm] = stream
+    u[system.perm] = system.outer.encode(msgs).reshape(-1)
     return encode(system.inner, u)
 
 
@@ -226,38 +228,26 @@ def concat_decode(
     """Iterative decoding; returns the inner-message estimate.
 
     Round structure: BP on the inner graph with the outer extrinsic as
-    a-priori on systematic bits, then per-block BCJR with priors equal to
-    the BP posterior minus that a-priori.  rounds=0 degenerates to plain
-    inner BP.  The hard decision always covers the inner message bits (the
-    interleaved outer codeword stream).
+    a-priori on systematic bits, then one BCJR pass over all outer blocks
+    with priors equal to the BP posterior minus that a-priori.  The hard
+    decision always covers the inner message bits (the interleaved outer
+    codeword stream).
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     inner = system.inner
     if llrs.shape != (inner.k + inner.m,):
         raise ValueError(f"LLR length {llrs.shape} does not match {inner.k + inner.m}")
-    graph, trellis = system.graph, system.trellis
-    n_o = system.outer.n
     trace = []
-
-    if cfg.rounds == 0:
-        bp_cfg = BpConfig(max_iterations=cfg.first_round_bp_iters, llr_clamp=cfg.llr_clamp)
-        out = bp_decode(graph, llrs, bp_cfg)
-        return (out, trace) if return_trace else out
-
     outer_extrinsic = np.zeros(inner.k)
-    outcome = None
     for rnd in range(cfg.rounds):
         iters = cfg.first_round_bp_iters if rnd == 0 else cfg.later_bp_iters
-        bp_cfg = BpConfig(max_iterations=iters, llr_clamp=cfg.llr_clamp)
-        outcome = bp_decode(graph, llrs, bp_cfg, apriori=outer_extrinsic)
+        bp_cfg = BpConfig(max_iterations=iters)
+        outcome = bp_decode(system.graph, llrs, bp_cfg, apriori=outer_extrinsic)
         inner_extrinsic = outcome.posterior - outer_extrinsic
 
-        # deinterleave to outer-stream order and run one BCJR per block
+        # deinterleave to outer-stream order and decode every block at once
         stream_prior = inner_extrinsic[system.perm]
-        stream_post = np.empty_like(stream_prior)
-        for b in range(system.blocks):
-            sl = slice(b * n_o, (b + 1) * n_o)
-            stream_post[sl] = bcjr_decode(system.outer, stream_prior[sl], trellis)
+        stream_post = bcjr_decode(system.outer, stream_prior.reshape(system.blocks, -1)).reshape(-1)
         stream_extrinsic = stream_post - stream_prior
         new_outer_extrinsic = np.empty(inner.k)
         new_outer_extrinsic[system.perm] = stream_extrinsic
@@ -273,7 +263,7 @@ def concat_decode(
                     "outer_extrinsic": new_outer_extrinsic.copy(),
                 }
             )
-        outer_extrinsic = np.clip(new_outer_extrinsic, -cfg.llr_clamp, cfg.llr_clamp)
+        outer_extrinsic = np.clip(new_outer_extrinsic, -LLR_CLAMP, LLR_CLAMP)
 
     # final decision: outer posteriors mapped back to inner message order
     stream_decision = hard_decision(stream_post)

@@ -29,19 +29,17 @@ __all__ = [
 ]
 
 _ATANH_LIMIT = 1.0 - 1e-14  # keeps arctanh finite after product rounding
+LLR_CLAMP = 30.0  # bound on every LLR entering a tanh and on every message passed on
 
 
 @dataclass(frozen=True)
 class BpConfig:
     max_iterations: int = 50
-    llr_clamp: float = 30.0
     early_stop: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.llr_clamp <= 0.0:
-            raise ValueError("llr_clamp must be positive")
 
 
 @dataclass
@@ -126,8 +124,7 @@ def bp_decode(
     l_par = llrs[code.k :]
     par_hard = hard_decision(l_par)
 
-    clamp = cfg.llr_clamp
-    t_par = np.tanh(0.5 * np.clip(l_par, -clamp, clamp))
+    t_par = np.tanh(0.5 * np.clip(l_par, -LLR_CLAMP, LLR_CLAMP))
     v2c = l_sys[graph.edge_var]
     c2v = np.zeros(graph.n_edges)
     posterior = l_sys.copy()
@@ -136,9 +133,9 @@ def bp_decode(
 
     for iteration in range(1, cfg.max_iterations + 1):
         iterations = iteration
-        t_edge = np.tanh(0.5 * np.clip(v2c, -clamp, clamp))
+        t_edge = np.tanh(0.5 * np.clip(v2c, -LLR_CLAMP, LLR_CLAMP))
         prod = _check_pass(t_edge, t_par, graph.edge_chk, code.m)
-        c2v = np.clip(2.0 * np.arctanh(prod), -clamp, clamp)
+        c2v = np.clip(2.0 * np.arctanh(prod), -LLR_CLAMP, LLR_CLAMP)
 
         var_tot = np.bincount(graph.edge_var, weights=c2v, minlength=code.k)
         posterior = l_sys + var_tot

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import binom
 
 from .channel import Channel, llr, transmit
-from .decode import _ATANH_LIMIT
+from .decode import _ATANH_LIMIT, LLR_CLAMP
 from .gf2 import BitMatrix
 from .rng import make_rng
 
@@ -31,6 +31,8 @@ __all__ = [
     "PopdynRecord",
     "popdyn_run",
 ]
+
+_MIN_BUCKET = 100  # smallest population kept per degree, however rare the degree
 
 
 @dataclass(eq=False)
@@ -154,9 +156,8 @@ class PopdynRecord:
     llr_var: float
 
 
-def _bucket_sizes(weights: np.ndarray, total: int, floor: int) -> np.ndarray:
-    sizes = np.maximum(np.round(weights * total).astype(np.int64), floor)
-    return sizes
+def _bucket_sizes(weights: np.ndarray, total: int) -> np.ndarray:
+    return np.maximum(np.round(weights * total).astype(np.int64), _MIN_BUCKET)
 
 
 def _channel_llrs(ch: Channel, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -196,8 +197,6 @@ def popdyn_run(
     population: int = 100_000,
     iterations: int = 50,
     seed: int = 0,
-    llr_clamp: float = 30.0,
-    min_bucket: int = 100,
 ) -> list[PopdynRecord]:
     """Evolve message populations for `iterations` rounds.
 
@@ -212,8 +211,8 @@ def popdyn_run(
     rng = make_rng(seed, "popdyn")
     nv = law.var_degrees.size
     nc = law.chk_degrees.size
-    sizes_v = _bucket_sizes(law.q_v, population, min_bucket)
-    sizes_c = _bucket_sizes(law.q_c, population, min_bucket)
+    sizes_v = _bucket_sizes(law.q_v, population)
+    sizes_c = _bucket_sizes(law.q_c, population)
     c2v = [np.zeros(s) for s in sizes_c]
     v2c = [np.zeros(s) for s in sizes_v]
 
@@ -232,11 +231,11 @@ def popdyn_run(
         for j in range(nc):
             t = int(law.chk_degrees[j]) - (2 if law.parity_attached else 1)
             incoming = _draw_from_buckets(v2c, law.cond_v_given_c[j], int(sizes_c[j]), t, rng)
-            tanhs = np.tanh(0.5 * np.clip(incoming, -llr_clamp, llr_clamp))
+            tanhs = np.tanh(0.5 * np.clip(incoming, -LLR_CLAMP, LLR_CLAMP))
             prod = tanhs.prod(axis=1)
             if law.parity_attached:
                 par = _channel_llrs(ch, int(sizes_c[j]), rng)
-                prod = prod * np.tanh(0.5 * np.clip(par, -llr_clamp, llr_clamp))
+                prod = prod * np.tanh(0.5 * np.clip(par, -LLR_CLAMP, LLR_CLAMP))
             new_c2v.append(2.0 * np.arctanh(np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT)))
         c2v = new_c2v
 

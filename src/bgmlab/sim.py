@@ -100,6 +100,8 @@ class SimConfig:
             raise ValueError(f"decoder holds a plain code's receiver settings; a {kind} system takes none")
         if kind == "uncoded" and "k" not in self.code:
             raise ValueError("uncoded code spec missing key: k")
+        if kind == "uncoded" and int(self.code["k"]) < 1:
+            raise ValueError("uncoded k must be >= 1")
         if self.chunk < 1:
             raise ValueError("chunk must be positive")
         if self.workers < 0:
@@ -147,9 +149,13 @@ class _PointAccumulator:
 
 def config_from_dict(raw: dict) -> SimConfig:
     """Validate a JSON-shaped dict into a SimConfig with clear errors."""
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     try:
         code = dict(raw["code"])
         channel = dict(raw["channel"])
+        if not isinstance(raw["sweep"], (list, tuple)):
+            raise ValueError("sweep must be a list of parameter values")
         sweep = tuple(float(x) for x in raw["sweep"])
     except KeyError as exc:
         raise ValueError(f"config missing required key: {exc.args[0]}") from None
@@ -179,9 +185,9 @@ def config_digest(cfg: SimConfig) -> str:
         "sweep": list(cfg.sweep),
         "sweep_unit": cfg.sweep_unit,
         "stop": asdict(cfg.stop),
-        # a retired key, kept at the only value it ever took, so that the
+        # retired keys, kept at the only values they ever took, so that the
         # digests of earlier campaigns still match
-        "decoder": {"damping": 0.0, **asdict(cfg.decoder)},
+        "decoder": {"damping": 0.0, "llr_clamp": 30.0, **asdict(cfg.decoder)},
         "seed": cfg.seed,
         "chunk": cfg.chunk,
     }

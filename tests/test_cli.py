@@ -129,20 +129,28 @@ class TestSimulate:
         assert err == "error: outer stream length 3*8 does not match inner k=16\n"
 
     @pytest.mark.parametrize("fault", (
-        {"code": {"construction": "bgm", "m": 8, "rho": 0.1}},
-        {"decoder": {"max_iters": 5}},
-        {"stop": {"max_frame": 5}},
+        ({"code": {"construction": "bgm", "m": 8, "rho": 0.1}}, "bgm code spec missing key: k"),
+        ({"decoder": {"max_iters": 5}}, "unknown decoder key: max_iters"),
+        ({"stop": {"max_frame": 5}}, "unknown stop key: max_frame"),
+        ({"decoder": {"llr_clamp": 30.0}}, "unknown decoder key: llr_clamp"),
+        ({"sweep": 0.1}, "sweep must be a list of parameter values"),
+        ({"code": {"construction": "uncoded", "k": 0}}, "uncoded k must be >= 1"),
+        ({"code": {"construction": "concat", "outer_r": 3, "blocks": 2, "rounds": 0,
+                   "inner": {"construction": "bgm", "k": 16, "m": 8, "rho": 0.2}}}, "rounds must be >= 1"),
+        (None, "config must be a JSON object"),  # the valid config, wrapped in a list
     ))
     def test_config_error_exits_two_with_one_line(self, capsys, tmp_path, fault):
+        change, message = fault
+        valid = {"code": {"construction": "bgm", "k": 8, "m": 8, "rho": 0.1},
+                 "channel": {"type": "awgn"}, "sweep": [0.5]}
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({
-            "code": {"construction": "bgm", "k": 8, "m": 8, "rho": 0.1},
-            "channel": {"type": "awgn"}, "sweep": [0.5], **fault,
-        }))
-        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        cfg.write_text(json.dumps([valid] if change is None else {**valid, **change}))
+        # --seed is applied after validation, so a malformed config still gets its one-line error
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--seed", "3",
+        )
         assert code == 2
-        key = {"code": "k", "decoder": "max_iters", "stop": "max_frame"}[next(iter(fault))]
-        assert err.startswith("error: ") and err.endswith(f"key: {key}\n") and err.count("\n") == 1
+        assert err == f"error: {message}\n"
 
     def test_missing_config_exits_nonzero(self, capsys, tmp_path):
         code, _, err = run_cli(

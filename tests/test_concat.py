@@ -1,5 +1,6 @@
 """Outer algebraic code, trellis MAP decoding, and the concatenated receiver."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from bgmlab.concat import (
     concat_encode,
     extended_hamming,
 )
-from bgmlab.decode import BpConfig, bp_decode
+from bgmlab.decode import LLR_CLAMP
 from bgmlab.ensemble import sample_bgm
 from bgmlab.rng import make_rng
 from bgmlab.sim import run_fixed_work
@@ -66,6 +67,16 @@ class TestExtendedHamming:
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
             extended_hamming(1)
+
+    def test_encodes_a_stack_of_messages(self):
+        code = extended_hamming(4)
+        msgs = make_rng(2, "stack").integers(0, 2, size=(3, 5, code.k), dtype=np.uint8)
+        words = code.encode(msgs)
+        assert words.shape == (3, 5, code.n)
+        assert np.array_equal(words, [[code.encode(m) for m in row] for row in msgs])
+        for shape in ((code.k + 1,), (4, code.k - 1), (code.k, 4), ()):
+            with pytest.raises(ValueError):
+                code.encode(np.zeros(shape, dtype=np.uint8))
 
 
 class TestSyndromeTrellis:
@@ -135,6 +146,19 @@ class TestBcjrDecode:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             bcjr_decode(extended_hamming(3), np.zeros(7))
+        with pytest.raises(ValueError):
+            bcjr_decode(extended_hamming(3), np.zeros((2, 7)))
+
+    def test_stack_equals_block_by_block(self):
+        # one pass over a stack of blocks does each block's arithmetic exactly
+        code = extended_hamming(4)
+        rng = make_rng(12, "bcjr-stack")
+        priors = 3.0 * rng.standard_normal((8, code.n))
+        priors[2] = (1.0 - 2.0 * rng.integers(0, 2, size=code.n)) * 35.0
+        priors[5] = (1.0 - 2.0 * code.encode(rng.integers(0, 2, size=code.k))) * 35.0
+        priors[6] = 0.0
+        stacked = bcjr_decode(code, priors)
+        assert np.array_equal(stacked, np.array([bcjr_decode(code, row) for row in priors]))
 
 
 def desk_system(seed=21):
@@ -185,15 +209,9 @@ class TestConcatDecode:
         assert out.converged
         assert np.array_equal(out.hard_decision, u)
 
-    def test_zero_rounds_is_plain_inner_bp(self):
-        system = desk_system()
-        rng = make_rng(7, "degenerate")
-        llrs = 3.0 * rng.standard_normal(48)
-        cfg = ConcatConfig(rounds=0, first_round_bp_iters=20)
-        out = concat_decode(system, llrs, cfg)
-        ref = bp_decode(system.inner, llrs, BpConfig(max_iterations=20))
-        assert np.array_equal(out.hard_decision, ref.hard_decision)
-        np.testing.assert_allclose(out.posterior, ref.posterior, atol=0.0)
+    def test_rejects_zero_rounds(self):
+        with pytest.raises(ValueError, match="rounds must be >= 1"):
+            ConcatConfig(rounds=0)
 
     def test_rejects_wrong_llr_length(self):
         with pytest.raises(ValueError):
@@ -228,9 +246,19 @@ class TestConcatDecode:
         for prev, nxt in zip(trace, trace[1:]):
             np.testing.assert_allclose(
                 nxt["bp_apriori"],
-                np.clip(prev["outer_extrinsic"], -cfg.llr_clamp, cfg.llr_clamp),
+                np.clip(prev["outer_extrinsic"], -LLR_CLAMP, LLR_CLAMP),
                 atol=0.0,
             )
+
+    def test_receiver_is_pinned(self):
+        # sha256 of every round's BCJR posteriors: any change to the receiver's arithmetic moves it
+        system = desk_system()
+        rng = make_rng(17, "pin")
+        x = concat_encode(system, rng.integers(0, 2, size=(4, 4), dtype=np.uint8))
+        llrs = 2.0 / 0.7**2 * (1.0 - 2.0 * x + 0.7 * rng.standard_normal(48))
+        _, trace = concat_decode(system, llrs, ConcatConfig(rounds=3), return_trace=True)
+        digest = hashlib.sha256(b"".join(step["bcjr_posterior"].tobytes() for step in trace)).hexdigest()
+        assert digest == "03645c32ea2d02aa8e5b054046d98000671b6b6f12609ad8a2b5e06ce4643bb7"
 
     def test_floor_improvement_over_plain_code_at_matched_rate(self):
         # both systems carry 16 information bits in 48 channel bits, so

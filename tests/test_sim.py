@@ -83,7 +83,13 @@ class TestConfig:
             bsc_uncoded_config(decoder=BpConfig(max_iterations=3))
         with pytest.raises(ValueError, match="^uncoded code spec missing key: k$"):
             SimConfig(code={"construction": "uncoded"}, channel={"type": "bsc"}, sweep=(0.1,))
-        for block, key in (("decoder", "max_iters"), ("stop", "max_frame")):
+        with pytest.raises(ValueError, match="^uncoded k must be >= 1$"):
+            SimConfig(code={"construction": "uncoded", "k": 0}, channel={"type": "bsc"}, sweep=(0.1,))
+        with pytest.raises(ValueError, match="^config must be a JSON object$"):
+            config_from_dict([{"code": {}, "channel": {"type": "bsc"}, "sweep": [0.1]}])
+        with pytest.raises(ValueError, match="^sweep must be a list of parameter values$"):
+            config_from_dict({"code": {}, "channel": {"type": "bsc"}, "sweep": 0.1})
+        for block, key in (("decoder", "max_iters"), ("decoder", "llr_clamp"), ("stop", "max_frame")):
             with pytest.raises(ValueError, match=f"^unknown {block} key: {key}$"):
                 config_from_dict({"code": {}, "channel": {"type": "bsc"}, "sweep": [0.1], block: {key: 5}})
         with pytest.raises(ValueError):
