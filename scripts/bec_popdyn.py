@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Sampled message-passing trajectories against the erasure-channel recursion.
 
-For a (dv, dc)-regular population on the erasure channel the edge erasure
-rate follows x_{t+1} = eps * (1 - (1 - x_t)^(dc-1))^(dv-1) exactly, which
-makes it a sharp oracle for the sampled dynamics.  Acceptance criterion 8
-checks the sampled dynamics against this script's recursion.
+On the erasure channel density evolution is exact and scalar per degree
+class, which makes it a sharp oracle for the sampled dynamics.  For a
+(dv, dc)-regular law the edge erasure rate follows
+x_{t+1} = eps * (1 - (1 - x_t)^(dc-1))^(dv-1); `recursion` runs the same
+update on any joint degree law.  Acceptance criterion 8 checks the
+sampled dynamics against this script's recursion.
 """
 
 import argparse
@@ -15,12 +17,27 @@ from bgmlab.channel import Bec
 from bgmlab.popdyn import popdyn_run, regular_law
 
 
-def recursion(eps, dv, dc, iterations):
-    """Edge erasure rates x_1 .. x_iterations of the recursion, from x_0 = 1."""
-    rates, x = [], 1.0
+def recursion(eps, law, iterations):
+    """Edge erasure rates x_1 .. x_iterations of `law`'s recursion, from x_0 = 1.
+
+    A variable-to-check message is erased when its channel bit and all its
+    other incoming check messages are; a check-to-variable message is known
+    when all its other variable inputs, and its parity observation when the
+    law attaches one, are known.  Each incoming message comes from a degree
+    class drawn from the joint law conditioned on the receiving node's
+    degree.  The edge rate pools the variable classes by their edge mass.
+    """
+    joint = law.joint / law.joint.sum()
+    q_v = joint.sum(axis=1)
+    c_given_v = joint / q_v[:, None]
+    v_given_c = (joint / joint.sum(axis=0)).T
+    parity = 1 if law.parity_attached else 0
+    y = np.ones(law.chk_degrees.size)  # check-to-variable erasure rate per check class
+    rates = []
     for _ in range(iterations):
-        x = eps * (1.0 - (1.0 - x) ** (dc - 1)) ** (dv - 1)
-        rates.append(x)
+        x = eps * (c_given_v @ y) ** (law.var_degrees - 1)
+        y = 1.0 - (1.0 - eps) ** parity * (1.0 - v_given_c @ x) ** (law.chk_degrees - 1 - parity)
+        rates.append(float(q_v @ x))
     return rates
 
 
@@ -42,7 +59,7 @@ def main():
         )
         print(f"eps={eps}")
         print("  iter  sampled     analytic    |z|")
-        for rec, x in zip(records, recursion(eps, args.dv, args.dc, args.iterations)):
+        for rec, x in zip(records, recursion(eps, law, args.iterations)):
             se = np.sqrt(max(x * (1 - x), 1e-30) / args.population)
             z = abs(rec.edge_error_rate - x) / se if se > 0 else 0.0
             print(

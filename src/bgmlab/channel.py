@@ -90,24 +90,15 @@ def sigma_from_ebn0_db(ebn0_db: float, rate: float) -> float:
     return math.sqrt(1.0 / (2.0 * rate * ebn0))
 
 
-def channel_from_config(cfg: dict, rate: float | None = None) -> Channel:
-    """Build a channel from {"type": ..., "param": ...}.
-
-    AWGN also accepts {"type": "awgn", "ebn0_db": x} when `rate` is given.
-    """
+def channel_from_config(cfg: dict) -> Channel:
+    """Build a channel from {"type": ..., "param": ...}; AWGN's param is sigma."""
     kind = cfg.get("type")
     if kind == "bsc":
         return Bsc(float(cfg["param"]))
     if kind == "bec":
         return Bec(float(cfg["param"]))
     if kind == "awgn":
-        if "param" in cfg:
-            return BpskAwgn(float(cfg["param"]))
-        if "ebn0_db" in cfg:
-            if rate is None:
-                raise ValueError("ebn0_db form needs the code rate")
-            return BpskAwgn(sigma_from_ebn0_db(float(cfg["ebn0_db"]), rate))
-        raise ValueError("awgn config needs 'param' (sigma) or 'ebn0_db'")
+        return BpskAwgn(float(cfg["param"]))
     raise ValueError(f"unknown channel type {kind!r}")
 
 
@@ -131,25 +122,25 @@ def transmit(ch: Channel, bits, rng: np.random.Generator) -> np.ndarray:
     raise TypeError(f"not a channel: {ch!r}")
 
 
-def llr(ch: Channel, received, sat: float = LLR_SAT) -> np.ndarray:
+def llr(ch: Channel, received) -> np.ndarray:
     """Natural-log LLR log(P(y|0)/P(y|1)) per observation.
 
     Infinite values (BEC known bits, BSC with p in {0, 1}) saturate at
-    +/- sat; BEC erasures map to exactly 0.
+    +/- LLR_SAT; BEC erasures map to exactly 0.
     """
     if isinstance(ch, Bsc):
         received = np.asarray(received)
         if ch.p in (0.0, 1.0):
-            mag = sat
+            mag = LLR_SAT
         else:
-            mag = min(abs(math.log((1.0 - ch.p) / ch.p)), sat)
+            mag = min(abs(math.log((1.0 - ch.p) / ch.p)), LLR_SAT)
         sign = 1.0 - 2.0 * received.astype(np.float64)
         return (sign * mag) if ch.p <= 0.5 else (-sign * mag)
     if isinstance(ch, Bec):
         received = np.asarray(received)
         out = np.zeros(received.shape, dtype=np.float64)
-        out[received == 0] = sat
-        out[received == 1] = -sat
+        out[received == 0] = LLR_SAT
+        out[received == 1] = -LLR_SAT
         return out
     if isinstance(ch, BpskAwgn):
         return 2.0 * np.asarray(received, dtype=np.float64) / ch.sigma2
@@ -298,8 +289,9 @@ def ldpc_threshold_bound(dc: int, dr: int, tol: float = 1e-6) -> float:
     """Largest p in (0, 1/2) with dr H(p) < dc H(rho_dr(p)).
 
     rho_dr(p) = (1 - (1 - 2p)^dr) / 2 is the crossover seen by a degree-dr
-    check.  Solved by bisection to `tol`.  Returns 0.5 when the inequality
-    holds over the whole interval and 0.0 when it never holds.
+    check.  Solved by Brent's method (brentq) to `tol`.  Returns 0.5 when
+    the inequality holds over the whole interval and 0.0 when it never
+    holds.
     """
     if dc < 1 or dr < 2:
         raise ValueError(f"need dc >= 1 and dr >= 2, got ({dc}, {dr})")

@@ -29,6 +29,7 @@ __all__ = [
     "encode",
     "Iowef",
     "iowef",
+    "log_binom_pmf",
     "bpc_weight_distribution",
     "save_code",
     "load_code",
@@ -160,6 +161,14 @@ def _log_binom(n: int, k_arr) -> np.ndarray:
     return gammaln(n + 1) - gammaln(k_arr + 1) - gammaln(n - k_arr + 1)
 
 
+def log_binom_pmf(n: int, p) -> np.ndarray:
+    """Natural log of P(X = j), j = 0..n, for X ~ Binomial(n, p); j runs
+    along the last axis, so an array p of shape (r, 1) gives r rows."""
+    j = np.arange(n + 1, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return _log_binom(n, j) + j * np.log(p) + (n - j) * np.log1p(-p)
+
+
 @dataclass
 class Iowef:
     """Ensemble-average input-output weight enumerator.
@@ -204,13 +213,9 @@ def iowef(k: int, m: int, rho: float, max_input_weight: int | None = None) -> Io
     n_i = max_input_weight + 1
     log_coeff = np.full((n_i, m + 1), -np.inf)
     log_coeff[0, 0] = 0.0  # the zero message always maps to zero parity
-    j = np.arange(m + 1, dtype=np.float64)
-    log_cmj = _log_binom(m, j)
-    for i in range(1, n_i):
-        p = rho_omega(rho, i)
-        with np.errstate(divide="ignore"):
-            log_pmf = log_cmj + j * np.log(p) + (m - j) * np.log1p(-p)
-        log_coeff[i] = _log_binom(k, i) + log_pmf
+    i = np.arange(1, n_i)
+    p = np.array([rho_omega(rho, int(w)) for w in i])
+    log_coeff[1:] = _log_binom(k, i)[:, None] + log_binom_pmf(m, p[:, None])
     return Iowef(k=k, m=m, rho=rho, max_input_weight=max_input_weight, log_coeff=log_coeff)
 
 

@@ -1,11 +1,12 @@
 """Degree-correlated density evolution by population dynamics.
 
-Message distributions are tracked as sample populations bucketed by the
-degree of the emitting node, so that degree-degree correlation (an edge
-joint degree law) can condition which bucket an incoming message is drawn
-from.  The check side optionally carries a parity-observation attachment:
-check degree then counts the parity slot, and each check update consumes
-one fresh parity-channel LLR along with its variable messages.
+Each side's messages live in one array, split into classes by the degree
+of the emitting node.  An edge joint degree law conditions which class an
+incoming message is drawn from, so degree-degree correlation shapes the
+dynamics.  The check side optionally carries a parity-observation
+attachment: check degree then counts the parity slot, and each check
+update consumes one fresh parity-channel LLR along with its variable
+messages.
 
 All-zero-codeword convention throughout: correct LLRs are positive, an
 error is a non-positive sign, and BEC erasures sit exactly at zero.
@@ -16,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from .channel import Channel, llr, transmit
 from .decode import _ATANH_LIMIT, LLR_CLAMP
+from .ensemble import log_binom_pmf
 from .gf2 import BitMatrix
 from .rng import make_rng
 
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _MIN_BUCKET = 100  # smallest population kept per degree, however rare the degree
+_MASS_TOL = 1e-9  # law_from_ensemble drops degrees with less probability
 
 
 @dataclass(eq=False)
@@ -93,30 +95,28 @@ def regular_law(dv: int, dc: int) -> EdgeDegreeLaw:
     )
 
 
-def _truncated_binomial(n: int, p: float, mass_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    support = np.arange(n + 1)
-    pmf = binom.pmf(support, n, p)
-    keep = pmf >= mass_tol
-    return support[keep], pmf[keep]
+def _binomial_degrees(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees d >= 1 of Binomial(n, p) with pmf >= _MASS_TOL, and their pmf."""
+    pmf = np.exp(log_binom_pmf(n, p))
+    d = np.flatnonzero(pmf[1:] >= _MASS_TOL) + 1
+    return d, pmf[d]
 
 
-def law_from_ensemble(k: int, m: int, rho: float, mass_tol: float = 1e-9) -> EdgeDegreeLaw:
+def law_from_ensemble(k: int, m: int, rho: float) -> EdgeDegreeLaw:
     """Product joint degree law of the Bernoulli ensemble.
 
     Variable degrees follow Binomial(m, rho); graph-side check degrees
     follow Binomial(k, rho), shifted by one here because the parity
     attachment occupies a slot on every check.  Degrees with pmf below
-    mass_tol are dropped.  A degree-correlated law comes from a built graph
+    1e-9 are dropped.  A degree-correlated law comes from a built graph
     through law_from_graph.
     """
-    wv, pv = _truncated_binomial(m, rho, mass_tol)
-    dv_mask = wv >= 1
-    wv, pv = wv[dv_mask], pv[dv_mask]
-    dcg, pc = _truncated_binomial(k, rho, mass_tol)
-    dc_mask = dcg >= 1
-    dcg, pc = dcg[dc_mask], pc[dc_mask]
+    if not 0.0 < rho <= 0.5:
+        raise ValueError(f"rho must lie in (0, 1/2], got {rho}")
+    wv, pv = _binomial_degrees(m, rho)
+    dcg, pc = _binomial_degrees(k, rho)
     if wv.size == 0 or dcg.size == 0:
-        raise ValueError("degree supports vanished; loosen mass_tol")
+        raise ValueError(f"degree supports vanished: no degree >= 1 has pmf >= {_MASS_TOL:g}")
     return EdgeDegreeLaw(
         var_degrees=wv,
         chk_degrees=dcg + 1,
@@ -156,39 +156,34 @@ class PopdynRecord:
     llr_var: float
 
 
-def _bucket_sizes(weights: np.ndarray, total: int) -> np.ndarray:
-    return np.maximum(np.round(weights * total).astype(np.int64), _MIN_BUCKET)
+@dataclass
+class _Population:
+    """One side's messages: class i holds msgs[start[i] : start[i] + size[i]]."""
+
+    msgs: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+
+    @classmethod
+    def zeros(cls, weights: np.ndarray, total: int) -> "_Population":
+        size = np.maximum(np.round(weights * total).astype(np.int64), _MIN_BUCKET)
+        return cls(np.zeros(int(size.sum())), np.cumsum(size) - size, size)
+
+    def part(self, i: int) -> slice:
+        return slice(self.start[i], self.start[i] + self.size[i])
+
+    def draw(self, cond: np.ndarray, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+        """Messages of the given shape; each entry's class drawn from cond,
+        its member uniformly within the class."""
+        if cond.size == 1:
+            return self.msgs[rng.integers(0, self.size[0], shape)]
+        cls = rng.choice(cond.size, size=shape, p=cond)
+        return self.msgs[self.start[cls] + rng.integers(0, self.size[cls])]
 
 
 def _channel_llrs(ch: Channel, size: int, rng: np.random.Generator) -> np.ndarray:
     zeros = np.zeros(size, dtype=np.uint8)
     return llr(ch, transmit(ch, zeros, rng))
-
-
-def _draw_from_buckets(
-    buckets: list[np.ndarray],
-    cond: np.ndarray,
-    n_rows: int,
-    n_inputs: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """(n_rows, n_inputs) samples; each entry's bucket drawn from cond."""
-    out = np.empty((n_rows, n_inputs))
-    if n_inputs == 0:
-        return out
-    if cond.size == 1:
-        src = buckets[0]
-        idx = rng.integers(0, src.size, size=(n_rows, n_inputs))
-        return src[idx]
-    classes = rng.choice(cond.size, size=n_rows * n_inputs, p=cond)
-    flat = out.reshape(-1)
-    for j in range(cond.size):
-        mask = classes == j
-        cnt = int(mask.sum())
-        if cnt:
-            src = buckets[j]
-            flat[mask] = src[rng.integers(0, src.size, size=cnt)]
-    return out
 
 
 def popdyn_run(
@@ -200,65 +195,49 @@ def popdyn_run(
 ) -> list[PopdynRecord]:
     """Evolve message populations for `iterations` rounds.
 
-    Each round: refresh every variable-to-check bucket (sum of conditioned
+    Each round: refresh every variable-to-check class (sum of conditioned
     check samples plus a fresh channel LLR), then every check-to-variable
-    bucket (tanh rule over conditioned variable samples, plus the parity
+    class (tanh rule over conditioned variable samples, plus the parity
     LLR when the law carries the attachment), then estimate the bit error
-    rate from full-degree posteriors.
+    rate from full-degree posteriors, the same variable update over all
+    of a node's edges.
     """
     if population < 1 or iterations < 0:
         raise ValueError("population must be positive and iterations non-negative")
     rng = make_rng(seed, "popdyn")
-    nv = law.var_degrees.size
-    nc = law.chk_degrees.size
-    sizes_v = _bucket_sizes(law.q_v, population)
-    sizes_c = _bucket_sizes(law.q_c, population)
-    c2v = [np.zeros(s) for s in sizes_c]
-    v2c = [np.zeros(s) for s in sizes_v]
+    v2c = _Population.zeros(law.q_v, population)
+    c2v = _Population.zeros(law.q_c, population)
+    chk_inputs = law.chk_degrees - (2 if law.parity_attached else 1)
+
+    def variable_update(i: int, rows: int, inputs: int) -> np.ndarray:
+        incoming = c2v.draw(law.cond_c_given_v[i], (rows, inputs), rng)
+        return incoming.sum(axis=1) + _channel_llrs(ch, rows, rng)
 
     records: list[PopdynRecord] = []
     for it in range(1, iterations + 1):
-        # variable pass
-        new_v2c = []
-        for i in range(nv):
-            t = int(law.var_degrees[i]) - 1
-            incoming = _draw_from_buckets(c2v, law.cond_c_given_v[i], int(sizes_v[i]), t, rng)
-            new_v2c.append(incoming.sum(axis=1) + _channel_llrs(ch, int(sizes_v[i]), rng))
-        v2c = new_v2c
+        for i, dv in enumerate(law.var_degrees):
+            v2c.msgs[v2c.part(i)] = variable_update(i, v2c.size[i], dv - 1)
 
-        # check pass
-        new_c2v = []
-        for j in range(nc):
-            t = int(law.chk_degrees[j]) - (2 if law.parity_attached else 1)
-            incoming = _draw_from_buckets(v2c, law.cond_v_given_c[j], int(sizes_c[j]), t, rng)
-            tanhs = np.tanh(0.5 * np.clip(incoming, -LLR_CLAMP, LLR_CLAMP))
-            prod = tanhs.prod(axis=1)
+        for j, t in enumerate(chk_inputs):
+            incoming = v2c.draw(law.cond_v_given_c[j], (c2v.size[j], t), rng)
+            prod = np.tanh(0.5 * np.clip(incoming, -LLR_CLAMP, LLR_CLAMP)).prod(axis=1)
             if law.parity_attached:
-                par = _channel_llrs(ch, int(sizes_c[j]), rng)
+                par = _channel_llrs(ch, c2v.size[j], rng)
                 prod = prod * np.tanh(0.5 * np.clip(par, -LLR_CLAMP, LLR_CLAMP))
-            new_c2v.append(2.0 * np.arctanh(np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT)))
-        c2v = new_c2v
+            c2v.msgs[c2v.part(j)] = 2.0 * np.arctanh(np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT))
 
-        # full-degree posterior error estimate
         counts = rng.multinomial(population, law.node_v)
-        errors = 0
-        for i in range(nv):
-            if counts[i] == 0:
-                continue
-            d = int(law.var_degrees[i])
-            incoming = _draw_from_buckets(c2v, law.cond_c_given_v[i], int(counts[i]), d, rng)
-            post = incoming.sum(axis=1) + _channel_llrs(ch, int(counts[i]), rng)
-            errors += int((post <= 0.0).sum())
-
-        pooled_v2c = np.concatenate(v2c)
-        pooled_c2v = np.concatenate(c2v)
+        errors = sum(
+            int((variable_update(i, counts[i], law.var_degrees[i]) <= 0.0).sum())
+            for i in np.flatnonzero(counts)
+        )
         records.append(
             PopdynRecord(
                 iteration=it,
                 error_rate=errors / population,
-                edge_error_rate=float((pooled_v2c <= 0.0).mean()),
-                llr_mean=float(pooled_c2v.mean()),
-                llr_var=float(pooled_c2v.var()),
+                edge_error_rate=float((v2c.msgs <= 0.0).mean()),
+                llr_mean=float(c2v.msgs.mean()),
+                llr_var=float(c2v.msgs.var()),
             )
         )
     return records

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .channel import channel_from_config, llr, transmit
+from .channel import BpskAwgn, channel_from_config, llr, sigma_from_ebn0_db, transmit
 from .concat import ConcatConfig, ConcatSystem, concat_decode, concat_encode, extended_hamming
 from .decode import BpConfig, BpGraph, bp_decode, hard_decision
 from .ensemble import SystematicCode, encode, load_code, sample_bgm, sample_fixed_row_weight
@@ -147,34 +147,45 @@ class _PointAccumulator:
         return self.frame_errors >= stop.min_frame_errors or self.frames >= stop.max_frames
 
 
+def _block(raw: dict, key: str, cls=None) -> dict:
+    """raw[key], which must be an object; given a dataclass, its keys must
+    name that class's fields and its values have their defaults' types."""
+    block = raw.get(key, {})
+    if not isinstance(block, dict):
+        raise ValueError(f"{key} must be a JSON object")
+    if cls is None:
+        return dict(block)
+    defaults = {f.name: f.default for f in fields(cls)}
+    for name, value in sorted(block.items()):
+        if name not in defaults:
+            raise ValueError(f"unknown {key} key: {name}")
+        if type(value) is not type(defaults[name]):
+            raise ValueError(f"{key} key {name} must be of type {type(defaults[name]).__name__}")
+    return dict(block)
+
+
 def config_from_dict(raw: dict) -> SimConfig:
     """Validate a JSON-shaped dict into a SimConfig with clear errors."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    try:
-        code = dict(raw["code"])
-        channel = dict(raw["channel"])
-        if not isinstance(raw["sweep"], (list, tuple)):
-            raise ValueError("sweep must be a list of parameter values")
-        sweep = tuple(float(x) for x in raw["sweep"])
-    except KeyError as exc:
-        raise ValueError(f"config missing required key: {exc.args[0]}") from None
-    for block, cls in (("stop", StopRule), ("decoder", BpConfig)):
-        unknown = sorted(set(raw.get(block, {})) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown {block} key: {unknown[0]}")
-    stop = StopRule(**raw.get("stop", {}))
-    decoder = BpConfig(**raw.get("decoder", {}))
+    missing = [key for key in ("code", "channel", "sweep") if key not in raw]
+    if missing:
+        raise ValueError(f"config missing required key: {missing[0]}")
+    sweep = raw["sweep"]
+    if not isinstance(sweep, (list, tuple)) or not all(isinstance(x, (int, float)) for x in sweep):
+        raise ValueError("sweep must be a list of parameter values")
+    ints = {key: raw.get(key, default) for key, default in (("seed", 0), ("workers", 0), ("chunk", 256))}
+    for key, value in ints.items():
+        if type(value) is not int:
+            raise ValueError(f"{key} must be an integer")
     return SimConfig(
-        code=code,
-        channel=channel,
-        sweep=sweep,
+        code=_block(raw, "code"),
+        channel=_block(raw, "channel"),
+        sweep=tuple(float(x) for x in sweep),
         sweep_unit=raw.get("sweep_unit", "param"),
-        stop=stop,
-        decoder=decoder,
-        seed=int(raw.get("seed", 0)),
-        workers=int(raw.get("workers", 0)),
-        chunk=int(raw.get("chunk", 256)),
+        stop=StopRule(**_block(raw, "stop", StopRule)),
+        decoder=BpConfig(**_block(raw, "decoder", BpConfig)),
+        **ints,
     )
 
 
@@ -266,7 +277,7 @@ def _build_system(cfg: SimConfig) -> _System:
 
 def _point_channel(cfg: SimConfig, value: float, rate: float | None):
     if cfg.sweep_unit == "ebn0_db":
-        return channel_from_config({"type": "awgn", "ebn0_db": value}, rate=rate)
+        return BpskAwgn(sigma_from_ebn0_db(value, rate))
     return channel_from_config({**cfg.channel, "param": value})
 
 

@@ -205,7 +205,7 @@ class TestCriterion08PopulationDynamicsOracle:
             records = popdyn_run(
                 Bec(eps), regular_law(3, 6), population=n, iterations=45, seed=3
             )
-            for rec, x in zip(records[:15], bec_popdyn.recursion(eps, 3, 6, 15)):
+            for rec, x in zip(records[:15], bec_popdyn.recursion(eps, regular_law(3, 6), 15)):
                 tol = max(0.02 * x, 6.0 * np.sqrt(max(x, 1e-12) / n))
                 if eps <= 0.42:
                     worst = max(worst, abs(rec.edge_error_rate - x) / tol)

@@ -97,12 +97,8 @@ class TestChannelConfig:
 
     def test_ebn0_conversion(self):
         assert sigma_from_ebn0_db(0.0, 0.5) == pytest.approx(1.0, abs=1e-15)
-        ch = channel_from_config({"type": "awgn", "ebn0_db": 3.0}, rate=0.5)
-        assert ch.sigma == pytest.approx(10.0 ** (-3.0 / 20.0), rel=1e-12)
 
     def test_rejects_incomplete_config(self):
-        with pytest.raises(ValueError):
-            channel_from_config({"type": "awgn", "ebn0_db": 1.0})
         with pytest.raises(ValueError):
             channel_from_config({"type": "laplace", "param": 1.0})
 

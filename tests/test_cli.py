@@ -138,6 +138,12 @@ class TestSimulate:
         ({"code": {"construction": "concat", "outer_r": 3, "blocks": 2, "rounds": 0,
                    "inner": {"construction": "bgm", "k": 16, "m": 8, "rho": 0.2}}}, "rounds must be >= 1"),
         (None, "config must be a JSON object"),  # the valid config, wrapped in a list
+        ({"code": [1]}, "code must be a JSON object"),
+        ({"stop": [5]}, "stop must be a JSON object"),
+        ({"stop": {"max_frames": "5"}}, "stop key max_frames must be of type int"),
+        ({"decoder": {"max_iterations": 2.5}}, "decoder key max_iterations must be of type int"),
+        ({"seed": None}, "seed must be an integer"),
+        ({"sweep": [[0.5]]}, "sweep must be a list of parameter values"),
     ))
     def test_config_error_exits_two_with_one_line(self, capsys, tmp_path, fault):
         change, message = fault
@@ -315,3 +321,9 @@ class TestParserEdges:
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats takes most of a second to import, and no subcommand needs it
+        env = {**os.environ, "PYTHONPATH": str(Path(bgmlab.__file__).parents[1])}
+        code = "import sys, bgmlab.cli; sys.exit('scipy.stats' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,5 +1,8 @@
 """Degree-correlated population dynamics against closed-form density evolution."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -118,9 +121,34 @@ class TestPopdynRun:
             records = popdyn_run(
                 Bec(eps), regular_law(3, 6), population=n, iterations=12, seed=3
             )
-            for rec, x in zip(records, bec_popdyn.recursion(eps, 3, 6, 12), strict=True):
+            for rec, x in zip(records, bec_popdyn.recursion(eps, regular_law(3, 6), 12), strict=True):
                 tol = max(0.02 * x, 6.0 * np.sqrt(max(x, 1e-12) / n))
                 assert abs(rec.edge_error_rate - x) <= tol
+
+    def test_conditional_draws_match_correlated_recursion(self):
+        # the conditionals differ from the marginals, so a draw that ignores
+        # the receiving node's degree leaves the recursion's band
+        law = EdgeDegreeLaw(
+            np.array([2, 5]), np.array([3, 7]), np.array([[0.5, 0.1], [0.15, 0.25]]),
+            parity_attached=True,
+        )
+        n = 100_000
+        for eps in (0.2, 0.35, 0.5):
+            records = popdyn_run(Bec(eps), law, population=n, iterations=15, seed=0)
+            for rec, x in zip(records, bec_popdyn.recursion(eps, law, 15), strict=True):
+                tol = max(0.02 * x, 6.0 * np.sqrt(max(x, 1e-12) / n))
+                assert abs(rec.edge_error_rate - x) <= tol
+
+    @pytest.mark.parametrize("ch, digest", (
+        (Bec(0.42), "f4bf1c9fc0babc90338600b0d667c67377070f1e6866e8266c2a8935863937e2"),
+        (BpskAwgn(0.8), "6f69bf0ec1a1a53ea367c2429ed7fc906ef337fe694bf4b821209bcd56e21ac1"),
+    ), ids=("bec", "awgn"))
+    def test_regular_law_trajectory_pinned(self, ch, digest):
+        # a single-class draw is one scalar-bound integers call, so changes to
+        # the multi-class draw must leave these records as they are
+        records = popdyn_run(ch, regular_law(3, 6), population=2000, iterations=5, seed=3)
+        blob = repr([dataclasses.astuple(r) for r in records]).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_near_silent_channel_clears_in_one_round(self):
         records = popdyn_run(
