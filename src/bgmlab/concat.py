@@ -231,7 +231,9 @@ def concat_decode(
     a-priori on systematic bits, then one BCJR pass over all outer blocks
     with priors equal to the BP posterior minus that a-priori.  The hard
     decision always covers the inner message bits (the interleaved outer
-    codeword stream).
+    codeword stream).  The outcome's `converged` and `iterations_used` are
+    those of the last round's inner BP: whether its decision reached an
+    inner codeword, and after how many iterations.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     inner = system.inner

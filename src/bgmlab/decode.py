@@ -67,11 +67,20 @@ class BpGraph:
         self.n_edges = code.g.nnz()
 
 
-def _check_pass(t_edge, t_par, edge_chk, m):
-    """Exclusive tanh products per check, with the parity factor included.
+def _signed_product(log, neg, zero):
+    """exp(log) with sign (-1)^neg, or 0 where a zero factor is counted."""
+    prod = np.where(zero > 0, 0.0, np.exp(log))
+    prod = np.where(neg % 2 == 1, -prod, prod)
+    return np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT)
 
-    Works in sign/log-magnitude form so that exactly-zero factors (erasures)
-    are tracked by count instead of killing the whole product.
+
+def _check_pass(t_edge, t_par, edge_chk, m):
+    """Exclusive tanh products per check: to each edge and to each parity bit.
+
+    The edge products include the parity factor; the parity products are
+    the whole check with that factor taken out.  Works in sign/log-magnitude
+    form so that exactly-zero factors (erasures) are tracked by count
+    instead of killing the whole product.
     """
     mag = np.abs(t_edge)
     zero = mag < 1e-300
@@ -87,12 +96,11 @@ def _check_pass(t_edge, t_par, edge_chk, m):
     chk_neg = np.bincount(edge_chk, weights=neg, minlength=m) + (t_par < 0.0)
     chk_zero = np.bincount(edge_chk, weights=zero, minlength=m) + par_zero
 
-    other_zero = chk_zero[edge_chk] - zero
-    excl_log = chk_log[edge_chk] - np.where(zero, 0.0, logmag)
-    excl_neg = chk_neg[edge_chk] - neg
-    prod = np.where(other_zero > 0, 0.0, np.exp(excl_log))
-    prod = np.where(excl_neg % 2 == 1, -prod, prod)
-    return np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT)
+    prod = _signed_product(
+        chk_log[edge_chk] - np.where(zero, 0.0, logmag), chk_neg[edge_chk] - neg, chk_zero[edge_chk] - zero
+    )
+    to_par = _signed_product(chk_log - par_log, chk_neg - (t_par < 0.0), chk_zero - par_zero)
+    return prod, to_par
 
 
 def bp_decode(
@@ -105,9 +113,11 @@ def bp_decode(
 
     `apriori` optionally adds extrinsic LLRs on the k systematic positions
     (used by the concatenated receiver).  The posterior field of the outcome
-    holds message-bit LLRs including channel and a-priori parts.  Early
-    stopping declares convergence when the re-encoded hard decision matches
-    the hard decisions of the parity channel LLRs.
+    holds message-bit LLRs including channel and a-priori parts.  The
+    decision has converged when it is a codeword: the re-encoded message
+    decision matches the hard decisions of the parity posteriors (channel
+    LLR plus the whole check's extrinsic).  With early stopping, decoding
+    ends at the first iteration that converges.
     """
     if isinstance(graph, SystematicCode):
         graph = BpGraph(graph)
@@ -122,19 +132,13 @@ def bp_decode(
             raise ValueError("apriori length must equal k")
         l_sys = l_sys + apriori
     l_par = llrs[code.k :]
-    par_hard = hard_decision(l_par)
 
     t_par = np.tanh(0.5 * np.clip(l_par, -LLR_CLAMP, LLR_CLAMP))
     v2c = l_sys[graph.edge_var]
-    c2v = np.zeros(graph.n_edges)
-    posterior = l_sys.copy()
-    converged = False
-    iterations = 0
 
-    for iteration in range(1, cfg.max_iterations + 1):
-        iterations = iteration
+    for iterations in range(1, cfg.max_iterations + 1):
         t_edge = np.tanh(0.5 * np.clip(v2c, -LLR_CLAMP, LLR_CLAMP))
-        prod = _check_pass(t_edge, t_par, graph.edge_chk, code.m)
+        prod, to_par = _check_pass(t_edge, t_par, graph.edge_chk, code.m)
         c2v = np.clip(2.0 * np.arctanh(prod), -LLR_CLAMP, LLR_CLAMP)
 
         var_tot = np.bincount(graph.edge_var, weights=c2v, minlength=code.k)
@@ -142,12 +146,13 @@ def bp_decode(
         v2c = posterior[graph.edge_var] - c2v
 
         u_hat = hard_decision(posterior)
+        par_hard = hard_decision(l_par + 2.0 * np.arctanh(to_par))
         converged = bool(np.array_equal(mat_vec_mul(code.g, u_hat), par_hard))
         if converged and cfg.early_stop:
             break
 
     return DecodeOutcome(
-        hard_decision=hard_decision(posterior),
+        hard_decision=u_hat,
         converged=converged,
         iterations_used=iterations,
         posterior=posterior,

@@ -7,13 +7,14 @@ from scipy import stats
 from bgmlab.channel import BpskAwgn, Bsc, llr, transmit
 from bgmlab.decode import (
     BpConfig,
+    BpGraph,
     bp_decode,
     hard_decision,
     list_coset_decode,
     mld_exhaustive,
     repetition_decision,
 )
-from bgmlab.ensemble import SystematicCode, encode, sample_bgm
+from bgmlab.ensemble import SystematicCode, encode, sample_bgm, sample_fixed_row_weight
 from bgmlab.gf2 import BitMatrix
 from bgmlab.rng import make_rng
 
@@ -81,6 +82,37 @@ class TestBpDecode:
             out = bp_decode(code, llr(ch, transmit(ch, encode(code, u), rng)))
             assert out.converged
             assert np.array_equal(out.hard_decision, u)
+
+    def test_stops_at_a_codeword_under_noise(self):
+        # about 1.5 parity bits per frame arrive flipped here, so a stop test
+        # against the channel's parity decisions would rarely pass.  The code
+        # is weak at this noise (some frames decode to another codeword), so
+        # the decision is compared with the one after all 50 iterations
+        code = sample_bgm(64, 64, 0.05, seed=9)
+        ch = BpskAwgn(0.5)
+        rng = make_rng(5, "bp-stop")
+        for trial in range(20):
+            u = rng.integers(0, 2, size=64).astype(np.uint8)
+            llrs = llr(ch, transmit(ch, encode(code, u), rng))
+            out = bp_decode(code, llrs)
+            assert out.converged
+            assert out.iterations_used <= 10
+            capped = bp_decode(code, llrs, BpConfig(early_stop=False))
+            assert np.array_equal(out.hard_decision, capped.hard_decision)
+
+    def test_floor_frames_stop_early(self):
+        # criterion 5's code at its floor point
+        code = sample_fixed_row_weight(1024, 1024, 8, seed=1)
+        graph = BpGraph(code)
+        ch = BpskAwgn(0.68)
+        rng = make_rng(6, "bp-floor")
+        iters = []
+        for trial in range(5):
+            u = rng.integers(0, 2, size=1024).astype(np.uint8)
+            out = bp_decode(graph, llr(ch, transmit(ch, encode(code, u), rng)))
+            assert out.converged
+            iters.append(out.iterations_used)
+        assert np.mean(iters) <= 10
 
     def test_clamp_preserves_noiseless_decision(self):
         code = sample_bgm(12, 10, 0.3, seed=5)

@@ -149,6 +149,18 @@ class TestRunCampaign:
         assert point.bit_errors == 0
         assert point.frame_errors == 0
 
+    def test_avg_iters_counts_real_iterations(self):
+        cfg = SimConfig(
+            code={"construction": "bgm", "k": 64, "m": 64, "rho": 0.05, "seed": 9},
+            channel={"type": "awgn"},
+            sweep=(0.4,),
+            stop=StopRule(min_frame_errors=100, max_frames=50),
+            decoder=BpConfig(max_iterations=50),
+            seed=3,
+        )
+        (point,) = run_campaign(cfg)
+        assert point.avg_iters < 10
+
     def test_uncoded_bsc_matches_crossover(self):
         p = 0.1
         cfg = bsc_uncoded_config(sweep=(p,))
