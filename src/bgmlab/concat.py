@@ -97,17 +97,6 @@ class SyndromeTrellis:
         weights = 1 << np.arange(h.shape[0], dtype=np.int64)
         self.column_syndromes = (h.astype(np.int64) * weights[:, None]).sum(axis=0)
 
-    def codeword_states(self, codeword) -> np.ndarray:
-        """Partial-syndrome state sequence, length n + 1, for a bit vector."""
-        codeword = np.asarray(codeword, dtype=np.int64)
-        states = np.zeros(self.n + 1, dtype=np.int64)
-        acc = 0
-        for t in range(self.n):
-            if codeword[t]:
-                acc ^= int(self.column_syndromes[t])
-            states[t + 1] = acc
-        return states
-
 
 def bcjr_decode(code: ExtendedHammingCode, prior_llrs) -> np.ndarray:
     """Bitwise MAP posterior LLRs over the code, from per-bit prior LLRs.

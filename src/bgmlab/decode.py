@@ -67,11 +67,21 @@ class BpGraph:
         self.n_edges = code.g.nnz()
 
 
-def _signed_product(log, neg, zero):
-    """exp(log) with sign (-1)^neg, or 0 where a zero factor is counted."""
-    prod = np.where(zero > 0, 0.0, np.exp(log))
-    prod = np.where(neg % 2 == 1, -prod, prod)
-    return np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT)
+def _signed_product(log, odd, zero):
+    """exp(log), overwriting `log`, negated where `odd` and 0 where `zero` (None: nowhere)."""
+    prod = np.exp(log, out=log)
+    if zero is not None:
+        prod[zero] = 0.0
+    prod = np.where(odd, -prod, prod)
+    return np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT, out=prod)
+
+
+def _log_abs(t):
+    """log|t|, with 0 where |t| < 1e-300, and the mask of those entries."""
+    mag = np.abs(t)
+    zero = mag < 1e-300
+    mag[zero] = 1.0
+    return np.log(mag, out=mag), zero
 
 
 def _check_pass(t_edge, t_par, edge_chk, m):
@@ -79,27 +89,31 @@ def _check_pass(t_edge, t_par, edge_chk, m):
 
     The edge products include the parity factor; the parity products are
     the whole check with that factor taken out.  Works in sign/log-magnitude
-    form so that exactly-zero factors (erasures) are tracked by count
-    instead of killing the whole product.
+    form: the log magnitudes and the sign parities are summed per check,
+    and each product takes its own factor back out.  A factor of magnitude
+    under 1e-300 (an erasure) adds 0 to the log sum and 1 to its check's
+    zero count instead; a product is 0 when its check counts a zero factor
+    other than its own.  The counts are taken only when some factor is
+    zero: otherwise every count is 0 and no product is zeroed.
     """
-    mag = np.abs(t_edge)
-    zero = mag < 1e-300
-    with np.errstate(divide="ignore"):
-        logmag = np.where(zero, 0.0, np.log(np.where(zero, 1.0, mag)))
-    neg = (t_edge < 0.0).astype(np.int64)
+    logmag, zero = _log_abs(t_edge)
+    par_log, par_zero = _log_abs(t_par)
+    neg = t_edge < 0.0
+    par_neg = t_par < 0.0
 
-    par_zero = np.abs(t_par) < 1e-300
-    with np.errstate(divide="ignore"):
-        par_log = np.where(par_zero, 0.0, np.log(np.abs(np.where(par_zero, 1.0, t_par))))
+    chk_log = np.bincount(edge_chk, weights=logmag, minlength=m) + par_log
+    chk_odd = ((np.bincount(edge_chk[neg], minlength=m) & 1) == 1) ^ par_neg
 
-    chk_log = np.bincount(edge_chk, weights=logmag * ~zero, minlength=m) + par_log
-    chk_neg = np.bincount(edge_chk, weights=neg, minlength=m) + (t_par < 0.0)
-    chk_zero = np.bincount(edge_chk, weights=zero, minlength=m) + par_zero
+    edge_zero = par_zero_left = None
+    if zero.any() or par_zero.any():
+        chk_zero = np.bincount(edge_chk[zero], minlength=m) + par_zero
+        edge_zero = chk_zero[edge_chk] - zero > 0
+        par_zero_left = chk_zero - par_zero > 0
 
-    prod = _signed_product(
-        chk_log[edge_chk] - np.where(zero, 0.0, logmag), chk_neg[edge_chk] - neg, chk_zero[edge_chk] - zero
-    )
-    to_par = _signed_product(chk_log - par_log, chk_neg - (t_par < 0.0), chk_zero - par_zero)
+    edge_log = chk_log[edge_chk]
+    edge_log -= logmag
+    prod = _signed_product(edge_log, chk_odd[edge_chk] ^ neg, edge_zero)
+    to_par = _signed_product(chk_log - par_log, chk_odd ^ par_neg, par_zero_left)
     return prod, to_par
 
 

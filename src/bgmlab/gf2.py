@@ -152,7 +152,7 @@ def mat_vec_mul(m: BitMatrix, v) -> np.ndarray:
     v = np.asarray(v)
     if v.shape != (m.rows,):
         raise ValueError(f"vector length {v.shape} does not match {m.rows} rows")
-    selected = m.edges[v[m.edges[:, 0]] != 0, 1]
+    selected = m.edges[:, 1][v[m.edges[:, 0]] != 0]
     return (np.bincount(selected, minlength=m.cols) & 1).astype(np.uint8)
 
 

@@ -87,8 +87,9 @@ class TestSyndromeTrellis:
         codebook = {bytes(c) for c in cws}
         for value in range(1 << code.n):
             bits = ((value >> np.arange(code.n - 1, -1, -1)) & 1).astype(np.uint8)
-            states = trellis.codeword_states(bits)
-            assert states[0] == 0
+            # the state after t sections: partial syndrome of the first t bits
+            states = np.concatenate([[0], np.bitwise_xor.accumulate(bits * trellis.column_syndromes)])
+            assert states.size == code.n + 1
             assert (states[-1] == 0) == (bytes(bits) in codebook)
 
 

@@ -1,5 +1,7 @@
 """BP decoding against exact-MAP and MLD oracles on small instances."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -61,17 +63,48 @@ class TestBpDecode:
         assert np.array_equal(out.hard_decision, u)
 
     def test_tree_instance_matches_exact_map(self):
-        # path-shaped graph v0-c0-v1-c1-v2 has no cycles, so BP is exact
+        # path-shaped graph v0-c0-v1-c1-v2 has no cycles, so BP is exact.  The
+        # last frames set systematic and parity LLRs to exactly 0, whose tanh
+        # factors the check pass counts apart from its log-magnitude sums
         code = SystematicCode(3, 2, BitMatrix(3, 2, [[0], [0, 1], [1]]))
         rng = make_rng(7, "tree")
         ch = BpskAwgn(0.8)
-        for trial in range(20):
+        zero_sets = [[]] * 20 + [[0], [1], [3], [4], [1, 3], [0, 4], [1, 3, 4], [0, 1, 2, 3, 4]]
+        for zeros in zero_sets:
             u = rng.integers(0, 2, size=3).astype(np.uint8)
             llrs = llr(ch, transmit(ch, encode(code, u), rng))
+            llrs[zeros] = 0.0
             out = bp_decode(code, llrs, BpConfig(max_iterations=12, early_stop=False))
             assert out.posterior == pytest.approx(
                 exact_bit_posteriors(code, llrs), abs=1e-9
             )
+
+    def test_bp_is_pinned(self):
+        # sha256 of posteriors, decisions, convergence flags and iteration
+        # counts: any change to BP's arithmetic or stop test moves it.  The
+        # frames span LLR scales 0.5-30, and some carry exact-zero LLRs on
+        # systematic positions, on parity positions, or everywhere
+        digest = hashlib.sha256()
+        for code in (sample_bgm(64, 64, 0.05, seed=9), sample_fixed_row_weight(256, 256, 8, seed=1)):
+            graph = BpGraph(code)
+            rng = make_rng(23, "bp-pin", code.k)
+            n = code.k + code.m
+            frames = []
+            for scale in (0.5, 1.0, 3.0, 30.0):
+                for zeros in (None, slice(0, code.k), slice(code.k, n)):
+                    u = rng.integers(0, 2, size=code.k).astype(np.uint8)
+                    llrs = scale * (1.0 - 2.0 * encode(code, u) + 0.6 * rng.standard_normal(n))
+                    if zeros is not None:
+                        llrs[zeros][rng.random(code.k) < 0.2] = 0.0
+                    frames.append(llrs)
+            frames.append(np.zeros(n))
+            for llrs in frames:
+                for cfg in (BpConfig(), BpConfig(max_iterations=7, early_stop=False)):
+                    out = bp_decode(graph, llrs, cfg)
+                    digest.update(out.posterior.tobytes())
+                    digest.update(out.hard_decision.tobytes())
+                    digest.update(bytes([out.converged, out.iterations_used]))
+        assert digest.hexdigest() == "14a62499630dd1bb1a280a550ad9d65e892aa0545232c7e99bbce1b97d04cfb5"
 
     def test_low_noise_decodes_reliably(self):
         code = sample_bgm(64, 64, 0.05, seed=9)

@@ -111,6 +111,22 @@ class TestMatVec:
         g = BitMatrix(3, 5, [[0], [1, 2], [4]])
         assert weight(mat_vec_mul(g, bits([0, 0, 0]))) == 0
 
+    def test_matches_dense_product_on_sparse_matrices(self):
+        # sparse enough that many rows and columns are all zero; each matrix
+        # is also multiplied by the all-zero and the all-one vector
+        rng = np.random.default_rng(12)
+        for rows, cols, p in ((1, 1, 0.5), (7, 3, 0.2), (40, 60, 0.03), (200, 150, 0.01), (64, 64, 0.0)):
+            dense = (rng.random((rows, cols)) < p).astype(np.uint8)
+            dense[rng.integers(rows)] = 0
+            a = BitMatrix.from_dense(dense)
+            for v in (rng.integers(0, 2, size=rows, dtype=np.uint8), np.zeros(rows, np.uint8), np.ones(rows, np.uint8)):
+                out = mat_vec_mul(a, v)
+                assert out.dtype == np.uint8
+                assert np.array_equal(out, (v @ a.to_dense()) & 1)
+        for rows, cols in ((5, 9), (1, 1), (0, 4)):
+            zero = BitMatrix.zero(rows, cols)
+            assert np.array_equal(mat_vec_mul(zero, np.ones(rows, np.uint8)), np.zeros(cols, np.uint8))
+
     @given(dense_strategy(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_arithmetic(self, d, data):
