@@ -4,10 +4,13 @@ Three channel families: BSC(p), BEC(eps), and BPSK over AWGN with noise
 variance sigma^2 (bit b maps to the signal 1 - 2b).  LLRs are natural-log
 log(P(y|0)/P(y|1)); information-theoretic quantities are reported in bits.
 
-The "partial" quantities condition the input prior on an arbitrary
-P(X=1) = p instead of the uniform prior: partial mutual information
-I_0(p) and the partial Gallager exponent E_0(p, gamma).  Both reduce to
-the familiar uniform-prior forms at p = 1/2.
+A BIOS channel is fully described by the law of its LLR L given X = 0, and
+`llr`, I_0 and E_0 read that law alone: BSC and BEC through one table of
+(P(y|0), LLR(y)) over their outputs, AWGN through L = 2Y / sigma^2.  The
+"partial" quantities condition the input prior on an arbitrary P(X=1) = p
+instead of the uniform prior: partial mutual information I_0(p) and the
+partial Gallager exponent E_0(p, gamma), each an expectation over L.  Both
+reduce to the familiar uniform-prior forms at p = 1/2.
 """
 
 from __future__ import annotations
@@ -122,42 +125,33 @@ def transmit(ch: Channel, bits, rng: np.random.Generator) -> np.ndarray:
     raise TypeError(f"not a channel: {ch!r}")
 
 
+def _output_law(ch: Bsc | Bec) -> tuple[np.ndarray, np.ndarray]:
+    """(P(y|0), LLR(y)) of a discrete channel, indexed by the output value y.
+
+    BSC: y in (0, 1), LLR +/-log((1-p)/p), infinite at p in {0, 1}.  BEC: y in
+    (0, 1, erasure); BEC_ERASURE is -1, so table[received] reads the last slot.
+    """
+    if isinstance(ch, Bsc):
+        if ch.p in (0.0, 1.0):
+            lam = math.inf if ch.p == 0.0 else -math.inf
+        else:
+            lam = math.log((1.0 - ch.p) / ch.p)
+        return np.array([1.0 - ch.p, ch.p]), np.array([lam, -lam])
+    if isinstance(ch, Bec):
+        return np.array([1.0 - ch.eps, 0.0, ch.eps]), np.array([math.inf, -math.inf, 0.0])
+    raise TypeError(f"not a channel: {ch!r}")
+
+
 def llr(ch: Channel, received) -> np.ndarray:
     """Natural-log LLR log(P(y|0)/P(y|1)) per observation.
 
     Infinite values (BEC known bits, BSC with p in {0, 1}) saturate at
     +/- LLR_SAT; BEC erasures map to exactly 0.
     """
-    if isinstance(ch, Bsc):
-        received = np.asarray(received)
-        if ch.p in (0.0, 1.0):
-            mag = LLR_SAT
-        else:
-            mag = min(abs(math.log((1.0 - ch.p) / ch.p)), LLR_SAT)
-        sign = 1.0 - 2.0 * received.astype(np.float64)
-        return (sign * mag) if ch.p <= 0.5 else (-sign * mag)
-    if isinstance(ch, Bec):
-        received = np.asarray(received)
-        out = np.zeros(received.shape, dtype=np.float64)
-        out[received == 0] = LLR_SAT
-        out[received == 1] = -LLR_SAT
-        return out
     if isinstance(ch, BpskAwgn):
         return 2.0 * np.asarray(received, dtype=np.float64) / ch.sigma2
-    raise TypeError(f"not a channel: {ch!r}")
-
-
-def _discrete_pairs(ch: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """(P(y|0), P(y|1)) over the output alphabet of a discrete channel."""
-    if isinstance(ch, Bsc):
-        return np.array([1.0 - ch.p, ch.p]), np.array([ch.p, 1.0 - ch.p])
-    if isinstance(ch, Bec):
-        # outputs ordered (0, erasure, 1)
-        return (
-            np.array([1.0 - ch.eps, ch.eps, 0.0]),
-            np.array([0.0, ch.eps, 1.0 - ch.eps]),
-        )
-    raise TypeError(f"no finite output alphabet: {ch!r}")
+    _, table = _output_law(ch)
+    return np.clip(table, -LLR_SAT, LLR_SAT)[np.asarray(received)]
 
 
 @lru_cache(maxsize=None)
@@ -167,57 +161,51 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _GH_ORDERS = (32, 48, 64, 96, 128, 192, 256, 384)
+_GH_TOL = 1e-9
 
 
-def _expect_given_zero(ch: BpskAwgn, f, tol: float) -> float:
-    """E[f(Y) | X = 0] for AWGN by Gauss-Hermite quadrature.
+def _expect_llr(ch: Channel, f) -> float:
+    """E[f(L) | X = 0]: a sum over the outputs of nonzero probability, or for
+    AWGN, L = 2Y / sigma^2 with Y ~ N(1, sigma^2), Gauss-Hermite rules of
+    rising order until two successive ones agree within _GH_TOL."""
+    if isinstance(ch, BpskAwgn):
+        prev = None
+        for order in _GH_ORDERS:
+            t, w = _hermite_rule(order)
+            y = 1.0 + math.sqrt(2.0) * ch.sigma * t
+            val = float(np.dot(w, f(2.0 * y / ch.sigma2)))
+            if prev is not None and abs(val - prev) <= _GH_TOL:
+                return val
+            prev = val
+        return prev
+    prob, table = _output_law(ch)
+    keep = prob > 0.0
+    return float(np.dot(prob[keep], f(table[keep])))
 
-    The order is raised until two successive rules agree within tol.
-    """
-    prev = None
-    for order in _GH_ORDERS:
-        t, w = _hermite_rule(order)
-        y = 1.0 + math.sqrt(2.0) * ch.sigma * t
-        val = float(np.dot(w, f(y)))
-        if prev is not None and abs(val - prev) <= tol:
-            return val
-        prev = val
-    return prev
 
+def partial_mutual_information(ch: Channel, p: float) -> float:
+    """I_0(p) = sum_y P(y|0) log2(P(y|0) / P(y)), P(y) = (1-p)P(y|0) + pP(y|1).
 
-def partial_mutual_information(ch: Channel, p: float, tol: float = 1e-9) -> float:
-    """I_0(p) = sum_y P(y|0) log2(P(y|0) / P(y)) with P(y) = (1-p)P(y|0) + pP(y|1).
-
+    As P(y|1)/P(y|0) = e^(-L), this is E[log2(1 / ((1-p) + p e^(-L))) | X = 0].
     Strictly increasing in p on [0, 1/2]; I_0(1/2) is the channel capacity.
     """
     if not 0.0 <= p <= 0.5:
         raise ValueError(f"p must lie in [0, 1/2], got {p}")
     if p == 0.0:
         return 0.0
-    if isinstance(ch, BpskAwgn):
-        s2 = ch.sigma2
-
-        def integrand(y):
-            # P(y|1)/P(y|0) = exp(-2y/sigma^2) for the +/-1 signal set
-            ratio = np.exp(-2.0 * y / s2)
-            return -np.log2((1.0 - p) + p * ratio)
-
-        return _expect_given_zero(ch, integrand, tol)
-    p0, p1 = _discrete_pairs(ch)
-    mix = (1.0 - p) * p0 + p * p1
-    mask = p0 > 0.0
-    return float(np.sum(p0[mask] * np.log2(p0[mask] / mix[mask])))
+    return _expect_llr(ch, lambda L: np.log2(1.0 / ((1.0 - p) + p * np.exp(-L))))
 
 
-def capacity(ch: Channel, tol: float = 1e-9) -> float:
-    return partial_mutual_information(ch, 0.5, tol=tol)
+def capacity(ch: Channel) -> float:
+    return partial_mutual_information(ch, 0.5)
 
 
-def e0(ch: Channel, p: float, gamma: float, tol: float = 1e-9) -> float:
+def e0(ch: Channel, p: float, gamma: float) -> float:
     """Partial Gallager function, in bits.
 
     E_0(p, gamma) = -log2 sum_y P(y|0)^(1/(1+gamma))
-        [(1-p) P(y|0)^(1/(1+gamma)) + p P(y|1)^(1/(1+gamma))]^gamma.
+        [(1-p) P(y|0)^(1/(1+gamma)) + p P(y|1)^(1/(1+gamma))]^gamma
+                  = log2(1 / E[((1-p) + p e^(-L/(1+gamma)))^gamma | X = 0]).
 
     E_0(p, 0) = 0, and the slope at gamma = 0 equals I_0(p).
     """
@@ -225,23 +213,9 @@ def e0(ch: Channel, p: float, gamma: float, tol: float = 1e-9) -> float:
         raise ValueError(f"p must lie in [0, 1/2], got {p}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    s = 1.0 / (1.0 + gamma)
-    if isinstance(ch, BpskAwgn):
-        s2 = ch.sigma2
-
-        def integrand(y):
-            # P(y|0)^s [(1-p)P(y|0)^s + pP(y|1)^s]^gamma rewritten against the
-            # conditional density: ((1-p) + p (P(y|1)/P(y|0))^s)^gamma
-            ratio_s = np.exp(-2.0 * s * y / s2)
-            return ((1.0 - p) + p * ratio_s) ** gamma
-
-        total = _expect_given_zero(ch, integrand, tol)
-        return -math.log2(total)
-    p0, p1 = _discrete_pairs(ch)
-    with np.errstate(invalid="ignore"):
-        inner = (1.0 - p) * p0**s + p * p1**s
-        terms = np.where(p0 > 0.0, p0**s * inner**gamma, 0.0)
-    return -math.log2(float(terms.sum()))
+    if gamma == 0.0:
+        return 0.0
+    return math.log2(1.0 / _expect_llr(ch, lambda L: ((1.0 - p) + p * np.exp(-L / (1.0 + gamma))) ** gamma))
 
 
 _GAMMA_GRID = np.linspace(0.0, 1.0, 32)
@@ -263,17 +237,9 @@ def partial_error_exponent(ch: Channel, p: float, rate: float) -> float:
     best = int(np.argmax(values))
     lo = _GAMMA_GRID[max(best - 1, 0)]
     hi = _GAMMA_GRID[min(best + 1, len(_GAMMA_GRID) - 1)]
-    if hi > lo:
-        res = minimize_scalar(
-            lambda g: -objective(g),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-8},
-        )
-        refined = -float(res.fun)
-    else:
-        refined = float(values[best])
-    return max(refined, float(values[best]), 0.0)
+    res = minimize_scalar(lambda g: -objective(g), bounds=(lo, hi), method="bounded", options={"xatol": 1e-8})
+    # 0.0 comes first, so a tie with -0.0 returns +0.0
+    return max(0.0, -float(res.fun), float(values[best]))
 
 
 def binary_entropy(p: float) -> float:

@@ -158,8 +158,9 @@ class ConcatConfig:
     later_bp_iters: int = 10
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        for name in ("rounds", "first_round_bp_iters", "later_bp_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(eq=False)

@@ -74,6 +74,19 @@ class StopRule:
             raise ValueError("stop rule fields must be positive")
 
 
+def _check_code_types(spec: dict) -> None:
+    """Integer code keys must be JSON integers (not floats, not booleans) and
+    rho a number, so that no value is truncated on its way to the run."""
+    kind = spec.get("construction")
+    for key in ("k", "m", "w", "seed", "outer_r", "blocks", "interleaver_seed", "rounds", "first_round_bp_iters"):
+        if key in spec and type(spec[key]) is not int:
+            raise ValueError(f"{kind} code key {key} must be an integer")
+    if "rho" in spec and type(spec["rho"]) not in (int, float):
+        raise ValueError(f"{kind} code key rho must be a number")
+    if isinstance(spec.get("inner"), dict):
+        _check_code_types(spec["inner"])
+
+
 @dataclass(frozen=True)
 class SimConfig:
     code: dict
@@ -93,6 +106,7 @@ class SimConfig:
             raise ValueError(f"unknown sweep unit {self.sweep_unit!r}")
         if self.sweep_unit == "ebn0_db" and self.channel.get("type") != "awgn":
             raise ValueError("ebn0_db sweeps only make sense for awgn")
+        _check_code_types(self.code)
         kind = self.code.get("construction")
         if self.sweep_unit == "ebn0_db" and kind == "uncoded":
             raise ValueError("ebn0_db sweeps need a code to define the rate")
@@ -100,7 +114,7 @@ class SimConfig:
             raise ValueError(f"decoder holds a plain code's receiver settings; a {kind} system takes none")
         if kind == "uncoded" and "k" not in self.code:
             raise ValueError("uncoded code spec missing key: k")
-        if kind == "uncoded" and int(self.code["k"]) < 1:
+        if kind == "uncoded" and self.code["k"] < 1:
             raise ValueError("uncoded k must be >= 1")
         if self.chunk < 1:
             raise ValueError("chunk must be positive")
@@ -172,7 +186,7 @@ def config_from_dict(raw: dict) -> SimConfig:
     if missing:
         raise ValueError(f"config missing required key: {missing[0]}")
     sweep = raw["sweep"]
-    if not isinstance(sweep, (list, tuple)) or not all(isinstance(x, (int, float)) for x in sweep):
+    if not isinstance(sweep, (list, tuple)) or not all(type(x) in (int, float) for x in sweep):
         raise ValueError("sweep must be a list of parameter values")
     ints = {key: raw.get(key, default) for key, default in (("seed", 0), ("workers", 0), ("chunk", 256))}
     for key, value in ints.items():

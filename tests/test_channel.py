@@ -82,6 +82,16 @@ class TestLlr:
         out = llr(Bsc(0.9), np.array([0, 1], dtype=np.uint8))
         assert out == pytest.approx([-math.log(9.0), math.log(9.0)], abs=1e-12)
 
+    def test_bsc_is_bit_identical_to_the_log_ratio(self):
+        # +/-min(|log((1-p)/p)|, LLR_SAT), a received 0 counting for a one once p > 1/2;
+        # compared as bytes, so the -0.0 of a received 1 at p = 1/2 counts too
+        received = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+        sign = 1.0 - 2.0 * received
+        for p in (0.0, 1e-300, 1e-12, 0.01, 0.07, 0.11, 0.3, 0.49, 0.5, 0.51, 0.7, 0.93, 1 - 1e-12, 1.0):
+            mag = LLR_SAT if p in (0.0, 1.0) else min(abs(math.log((1.0 - p) / p)), LLR_SAT)
+            expected = sign * mag if p <= 0.5 else -sign * mag
+            assert llr(Bsc(p), received).tobytes() == expected.tobytes()
+
     def test_bec_erasure_is_exact_zero(self):
         received = np.array([0, BEC_ERASURE, 1], dtype=np.int8)
         out = llr(Bec(0.4), received)
@@ -145,6 +155,15 @@ class TestPartialMutualInformation:
         assert capacity(Bec(0.5)) == pytest.approx(0.5, abs=1e-12)
         assert capacity(Bsc(0.0)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_capacities_at_the_edges_of_the_parameter_range(self):
+        assert capacity(Bsc(0.7)) == pytest.approx(1.0 - binary_entropy(0.7), abs=1e-12)
+        assert capacity(Bsc(1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert capacity(Bec(0.0)) == pytest.approx(1.0, abs=1e-12)
+        assert capacity(Bec(1.0)) == 0.0
+        # a useless channel carries +0.0 bits, not -0.0
+        for ch in (Bec(1.0), Bsc(0.5)):
+            assert math.copysign(1.0, capacity(ch)) == 1.0
+
 
 class TestGallagerE0:
     def test_zero_gamma_collapses(self):
@@ -168,6 +187,16 @@ class TestGallagerE0:
         expected = -math.log2((1.0 + 2.0 * math.sqrt(0.09)) / 2.0)
         assert value == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.32192809488736235, abs=1e-15)
+
+    def test_bsc_above_half_cutoff_rate(self):
+        # the crossover 0.7 channel is the 0.3 one with its outputs relabeled
+        value = e0(Bsc(0.7), 0.5, 1.0)
+        assert value == pytest.approx(-math.log2((1.0 + 2.0 * math.sqrt(0.21)) / 2.0), abs=1e-12)
+
+    def test_zero_gamma_is_plus_zero(self):
+        for ch in (Bsc(0.11), Bec(0.5), BpskAwgn(0.8)):
+            for p in (0.0, 0.2, 0.5):
+                assert math.copysign(1.0, e0(ch, p, 0.0)) == 1.0 and e0(ch, p, 0.0) == 0.0
 
     def test_concave_in_gamma(self):
         grid = np.linspace(0.0, 1.0, 21)

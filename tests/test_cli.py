@@ -144,6 +144,29 @@ class TestSimulate:
         ({"decoder": {"max_iterations": 2.5}}, "decoder key max_iterations must be of type int"),
         ({"seed": None}, "seed must be an integer"),
         ({"sweep": [[0.5]]}, "sweep must be a list of parameter values"),
+        # integer keys are never truncated: a float or a boolean is refused
+        ({"code": {"construction": "bgm", "k": 16.9, "m": 16, "rho": 0.1}}, "bgm code key k must be an integer"),
+        ({"code": {"construction": "bgm", "k": 16, "m": "16", "rho": 0.1}}, "bgm code key m must be an integer"),
+        ({"code": {"construction": "bgm", "k": 16, "m": 16, "rho": 0.1, "seed": True}},
+         "bgm code key seed must be an integer"),
+        ({"code": {"construction": "bgm", "k": 16, "m": 16, "rho": "0.1"}}, "bgm code key rho must be a number"),
+        ({"code": {"construction": "bgm", "k": 16, "m": 16, "rho": False}}, "bgm code key rho must be a number"),
+        ({"code": {"construction": "fixed-row-weight", "k": 16, "m": 16, "w": 3.0}},
+         "fixed-row-weight code key w must be an integer"),
+        ({"code": {"construction": "uncoded", "k": 12.5}}, "uncoded code key k must be an integer"),
+        ({"code": {"construction": "concat", "outer_r": 2.9, "blocks": 2,
+                   "inner": {"construction": "bgm", "k": 16, "m": 8, "rho": 0.2}}},
+         "concat code key outer_r must be an integer"),
+        ({"code": {"construction": "concat", "outer_r": 3, "blocks": 2, "rounds": 2.0,
+                   "inner": {"construction": "bgm", "k": 16, "m": 8, "rho": 0.2}}},
+         "concat code key rounds must be an integer"),
+        ({"code": {"construction": "concat", "outer_r": 3, "blocks": 2,
+                   "inner": {"construction": "bgm", "k": 16.0, "m": 8, "rho": 0.2}}},
+         "bgm code key k must be an integer"),
+        ({"code": {"construction": "concat", "outer_r": 3, "blocks": 2, "first_round_bp_iters": 0,
+                   "inner": {"construction": "bgm", "k": 16, "m": 8, "rho": 0.2}}},
+         "first_round_bp_iters must be >= 1"),
+        ({"sweep": [True]}, "sweep must be a list of parameter values"),
     ))
     def test_config_error_exits_two_with_one_line(self, capsys, tmp_path, fault):
         change, message = fault
@@ -294,6 +317,17 @@ class TestExponentCommand:
         )
         assert code == 0
         assert float(out.split(": ")[1]) > 0.0
+
+    @pytest.mark.parametrize("channel, param, p, rate", (
+        ("bsc", "0.11", "0.5", "0.9"), ("awgn", "0.8", "0.5", "0.9"), ("bec", "0.5", "0.5", "0.9"),
+        ("bsc", "0.11", "0", "0.3"),
+    ))
+    def test_exponent_above_information_rate_is_plus_zero(self, capsys, channel, param, p, rate):
+        code, out, _ = run_cli(
+            capsys, "exponent", "--channel", channel, "--param", param, "--p", p, "--rate", rate,
+        )
+        assert code == 0
+        assert out == "exponent_bits: 0.00000000\n"
 
 
 class TestIowefCommand:

@@ -214,6 +214,11 @@ class TestConcatDecode:
         with pytest.raises(ValueError, match="rounds must be >= 1"):
             ConcatConfig(rounds=0)
 
+    @pytest.mark.parametrize("key", ("first_round_bp_iters", "later_bp_iters"))
+    def test_rejects_zero_bp_iterations_naming_the_key(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
+            ConcatConfig(**{key: 0})
+
     def test_rejects_wrong_llr_length(self):
         with pytest.raises(ValueError):
             concat_decode(desk_system(), np.zeros(47))

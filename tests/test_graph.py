@@ -13,7 +13,6 @@ from bgmlab.graph import (
     GraphGenerationError,
     assortativity,
     configuration_model,
-    degree_stats,
     sample_neutral_graph,
 )
 from bgmlab.rng import make_rng
@@ -54,48 +53,87 @@ class TestBipartiteGraph:
         assert np.array_equal(g.edges[g.edges[:, 1] == 1, 0], [0, 2])
 
 
+def edge_law_stats(g):
+    """The degree laws of the pooled edge-law form: p is the node degree law over
+    both sides, q its excess-weighted law, e the symmetrized joint law of the
+    degrees at the two ends of an edge, and sigma_q2 the variance of q."""
+    dv, dc = g.row_weights(), g.col_weights()
+    deg = np.concatenate([dv, dc])
+    j = np.arange(deg.max() + 1)
+    p = np.bincount(deg, minlength=j.size) / deg.size
+    q = j * p / (j * p).sum()
+    e = np.zeros((j.size, j.size))
+    np.add.at(e, (dv[g.edges[:, 0]], dc[g.edges[:, 1]]), 1.0)
+    e = 0.5 * (e + e.T) / g.nnz()
+    sigma_q2 = (j * j * q).sum() - (j * q).sum() ** 2
+    return p, q, e, sigma_q2
+
+
+def edge_law_assortativity(g):
+    """r = sum_ij ij (e_ij - q_i q_j) / sigma_q^2 over the edge_law_stats tables."""
+    _, q, e, sigma_q2 = edge_law_stats(g)
+    j = np.arange(q.size)
+    return float(np.sum(np.outer(j, j) * (e - np.outer(q, q))) / sigma_q2)
+
+
 class TestDegreeStats:
+    """Hand counts of the reference tables that assortativity is matched to."""
+
     def test_complete_bipartite_two_two(self):
-        st = degree_stats(complete_bipartite(2, 2))
-        assert st.p[2] == 1.0
-        assert st.e[2, 2] == 1.0
-        assert st.sigma_q2 == pytest.approx(0.0, abs=1e-12)
+        p, _, e, sigma_q2 = edge_law_stats(complete_bipartite(2, 2))
+        assert p[2] == 1.0
+        assert e[2, 2] == 1.0
+        assert sigma_q2 == pytest.approx(0.0, abs=1e-12)
 
     def test_star_hand_count(self):
-        st = degree_stats(BipartiteGraph(1, 3, [(0, 0), (0, 1), (0, 2)]))
-        assert st.p[1] == pytest.approx(0.75)
-        assert st.p[3] == pytest.approx(0.25)
-        assert st.q[1] == pytest.approx(0.5)
-        assert st.q[3] == pytest.approx(0.5)
+        p, q, _, _ = edge_law_stats(BipartiteGraph(1, 3, [(0, 0), (0, 1), (0, 2)]))
+        assert p[1] == pytest.approx(0.75)
+        assert p[3] == pytest.approx(0.25)
+        assert q[1] == pytest.approx(0.5)
+        assert q[3] == pytest.approx(0.5)
 
     def test_path_hand_count(self):
         # two degree-1 variables joined through one degree-2 check
-        st = degree_stats(BipartiteGraph(2, 1, [(0, 0), (1, 0)]))
-        assert st.p[1] == pytest.approx(2 / 3)
-        assert st.p[2] == pytest.approx(1 / 3)
-        assert st.e[1, 2] == pytest.approx(0.5)
-        assert st.e[2, 1] == pytest.approx(0.5)
-        assert st.e[1, 1] == 0.0
+        p, _, e, _ = edge_law_stats(BipartiteGraph(2, 1, [(0, 0), (1, 0)]))
+        assert p[1] == pytest.approx(2 / 3)
+        assert p[2] == pytest.approx(1 / 3)
+        assert e[1, 2] == pytest.approx(0.5)
+        assert e[2, 1] == pytest.approx(0.5)
+        assert e[1, 1] == 0.0
 
     def test_distributions_normalize(self):
         g = sample_neutral_graph(
             binomial_profile(64, 0.05, 1), binomial_profile(64, 0.05, 1), seed=3
         )
-        st = degree_stats(g)
-        j = np.arange(st.p.size)
-        assert st.p.sum() == pytest.approx(1.0, abs=1e-12)
-        assert st.q.sum() == pytest.approx(1.0, abs=1e-12)
-        assert st.e.sum() == pytest.approx(1.0, abs=1e-12)
-        jp = j * st.p
-        assert st.q == pytest.approx(jp / jp.sum(), abs=1e-12)
-
-    def test_empty_graph_rejected(self):
-        g = BipartiteGraph(2, 2, np.empty((0, 2), dtype=np.int64))
-        with pytest.raises(ValueError):
-            degree_stats(g)
+        p, q, e, _ = edge_law_stats(g)
+        j = np.arange(p.size)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert q.sum() == pytest.approx(1.0, abs=1e-12)
+        assert e.sum() == pytest.approx(1.0, abs=1e-12)
+        jp = j * p
+        assert q == pytest.approx(jp / jp.sum(), abs=1e-12)
 
 
 class TestAssortativity:
+    def test_empty_graph_rejected(self):
+        g = BipartiteGraph(2, 2, np.empty((0, 2), dtype=np.int64))
+        with pytest.raises(ValueError):
+            assortativity(g)
+
+    def test_matches_edge_law_form(self):
+        star = BipartiteGraph(1, 3, [(0, 0), (0, 1), (0, 2)])
+        path = BipartiteGraph(2, 1, [(0, 0), (1, 0)])  # two degree-1 variables, one degree-2 check
+        graphs = [star, path]
+        for seed in range(10):
+            d = binomial_profile(64, 0.05, seed)
+            graphs.append(sample_neutral_graph(d, make_rng(seed, "shuffle").permutation(d), seed=seed))
+        d1, d2 = criterion6_profiles()
+        graphs += [configuration_model(d1, d2, r_star, seed=1).graph for r_star in (-0.3, 0.0)]
+        for g in graphs:
+            assert assortativity(g) == pytest.approx(edge_law_assortativity(g), abs=1e-12)
+        assert edge_law_assortativity(star) == pytest.approx(-1.0, abs=1e-12)
+        assert edge_law_assortativity(path) == pytest.approx(-1.0, abs=1e-12)
+
     def test_regular_graph_is_undefined(self):
         assert np.isnan(assortativity(complete_bipartite(2, 2)))
         assert np.isnan(assortativity(complete_bipartite(3, 3)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from bgmlab.channel import Bec, BpskAwgn
+from bgmlab.channel import Bec, BpskAwgn, Bsc
 from bgmlab.ensemble import sample_bgm
 from bgmlab.graph import BipartiteGraph, configuration_model
 from bgmlab.popdyn import (
@@ -142,7 +142,8 @@ class TestPopdynRun:
     @pytest.mark.parametrize("ch, digest", (
         (Bec(0.42), "f4bf1c9fc0babc90338600b0d667c67377070f1e6866e8266c2a8935863937e2"),
         (BpskAwgn(0.8), "6f69bf0ec1a1a53ea367c2429ed7fc906ef337fe694bf4b821209bcd56e21ac1"),
-    ), ids=("bec", "awgn"))
+        (Bsc(0.07), "65d69067ba3d5049abb90ed81f4d953686b625dfdb0e2d317137b527f8f4af20"),
+    ), ids=("bec", "awgn", "bsc"))
     def test_regular_law_trajectory_pinned(self, ch, digest):
         # a single-class draw is one scalar-bound integers call, so changes to
         # the multi-class draw must leave these records as they are
