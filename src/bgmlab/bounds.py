@@ -30,8 +30,8 @@ def qfunc(x) -> np.ndarray | float:
 
 
 def _check_sigma(sigma: float) -> None:
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
 
 
 def ber_lower_bound(code: SystematicCode, sigma: float) -> float:

@@ -74,8 +74,8 @@ class BpskAwgn:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
     @property
     def sigma2(self) -> float:
@@ -251,13 +251,16 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def ldpc_threshold_bound(dc: int, dr: int, tol: float = 1e-6) -> float:
+_THRESHOLD_TOL = 1e-6
+
+
+def ldpc_threshold_bound(dc: int, dr: int) -> float:
     """Largest p in (0, 1/2) with dr H(p) < dc H(rho_dr(p)).
 
     rho_dr(p) = (1 - (1 - 2p)^dr) / 2 is the crossover seen by a degree-dr
-    check.  Solved by Brent's method (brentq) to `tol`.  Returns 0.5 when
-    the inequality holds over the whole interval and 0.0 when it never
-    holds.
+    check.  Solved by Brent's method (brentq) to `_THRESHOLD_TOL`.  Returns
+    0.5 when the inequality holds over the whole interval and 0.0 when it
+    never holds.
     """
     if dc < 1 or dr < 2:
         raise ValueError(f"need dc >= 1 and dr >= 2, got ({dc}, {dr})")
@@ -272,4 +275,4 @@ def ldpc_threshold_bound(dc: int, dr: int, tol: float = 1e-6) -> float:
         return 0.5
     if gap(lo) <= 0.0:
         return 0.0
-    return float(brentq(gap, lo, hi, xtol=tol))
+    return float(brentq(gap, lo, hi, xtol=_THRESHOLD_TOL))

@@ -219,9 +219,7 @@ def iowef(k: int, m: int, rho: float, max_input_weight: int | None = None) -> Io
     return Iowef(k=k, m=m, rho=rho, max_input_weight=max_input_weight, log_coeff=log_coeff)
 
 
-def bpc_weight_distribution(
-    k: int, m: int, rho: float, max_weight: int | None = None, log: bool = False
-) -> np.ndarray:
+def bpc_weight_distribution(k: int, m: int, rho: float) -> np.ndarray:
     """Expected number of weight-omega words in the parity-check family.
 
     A_omega = C(k, omega) (1 - rho_omega)^m, the chance that all m checks
@@ -229,18 +227,9 @@ def bpc_weight_distribution(
     """
     if k <= 0 or m <= 0:
         raise ValueError("k and m must be positive")
-    if max_weight is None:
-        max_weight = k
-    if not 0 <= max_weight <= k:
-        raise ValueError(f"max_weight {max_weight} outside [0, {k}]")
-    omega = np.arange(max_weight + 1)
-    log_a = np.empty(max_weight + 1)
-    log_a[0] = 0.0
-    if max_weight >= 1:
-        p = np.array([rho_omega(rho, int(w)) for w in omega[1:]])
-        log_a[1:] = _log_binom(k, omega[1:]) + m * np.log1p(-p)
-    if log:
-        return log_a
+    omega = np.arange(1, k + 1)
+    p = np.array([rho_omega(rho, int(w)) for w in omega])
+    log_a = np.concatenate(([0.0], _log_binom(k, omega) + m * np.log1p(-p)))
     with np.errstate(over="ignore"):
         return np.exp(log_a)
 

@@ -74,17 +74,67 @@ class StopRule:
             raise ValueError("stop rule fields must be positive")
 
 
-def _check_code_types(spec: dict) -> None:
-    """Integer code keys must be JSON integers (not floats, not booleans) and
-    rho a number, so that no value is truncated on its way to the run."""
-    kind = spec.get("construction")
-    for key in ("k", "m", "w", "seed", "outer_r", "blocks", "interleaver_seed", "rounds", "first_round_bp_iters"):
-        if key in spec and type(spec[key]) is not int:
-            raise ValueError(f"{kind} code key {key} must be an integer")
-    if "rho" in spec and type(spec["rho"]) not in (int, float):
-        raise ValueError(f"{kind} code key rho must be a number")
-    if isinstance(spec.get("inner"), dict):
-        _check_code_types(spec["inner"])
+# The keys a config block may hold.  A type marks a required key; any other
+# value is an optional key's default, whose type the key must have.
+_CODE_KEYS = {  # one row per construction
+    "uncoded": {"k": int},
+    "bgm": {"k": int, "m": int, "rho": float, "seed": 0},
+    "fixed-row-weight": {"k": int, "m": int, "w": int, "seed": 0},
+    "graph-file": {"path": str},
+    "concat": {
+        "outer_r": int, "blocks": int, "inner": dict, "interleaver_seed": 0,
+        "rounds": ConcatConfig.rounds, "first_round_bp_iters": ConcatConfig.first_round_bp_iters,
+    },
+}
+_CONFIG_KEYS = {
+    "code": dict, "channel": dict, "sweep": list, "sweep_unit": "param",
+    "stop": {}, "decoder": {}, "seed": 0, "workers": 0, "chunk": 256,
+}
+_TYPE_NAMES = {
+    int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+    dict: "a JSON object", list: "a list of parameter values",
+}
+
+
+def _checked(block, keys: dict, name: str) -> dict:
+    """The values of `block`, an object holding only the keys of `keys` and
+    every required one, with the defaults of the optional keys it omits.
+
+    An integer key takes a JSON integer only, never a float or a boolean,
+    so no value is truncated on its way to the run; a float key takes any
+    number.  `block` itself is left as it is, so the config digest is too.
+    """
+    if type(block) is not dict:
+        raise ValueError(f"{name} must be a JSON object")
+    unknown = sorted(block.keys() - keys.keys())
+    if unknown:
+        raise ValueError(f"unknown {name} key: {unknown[0]}")
+    values = {}
+    for key, rule in keys.items():
+        required = isinstance(rule, type)
+        if required and key not in block:
+            raise ValueError(f"{name} missing key: {key}")
+        kind = rule if required else type(rule)
+        value = values[key] = block.get(key, rule)
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise ValueError(f"{name} key {key} must be {_TYPE_NAMES[kind]}")
+    return values
+
+
+def _checked_code(spec: dict) -> dict:
+    """A code block's values, checked against its construction's row (and
+    a concat block's inner block against its own)."""
+    kind = spec.get("construction") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _CODE_KEYS:
+        raise ValueError(f"unknown code construction {kind!r}")
+    values = _checked(spec, {"construction": str, **_CODE_KEYS[kind]}, f"{kind} code")
+    if kind == "concat":
+        _checked_code(values["inner"])
+    return values
+
+
+def _field_keys(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -100,21 +150,20 @@ class SimConfig:
     chunk: int = 256
 
     def __post_init__(self):
+        code = _checked_code(self.code)
+        kind = code["construction"]
+        _checked(self.channel, {"type": str}, "channel")  # the sweep supplies the parameter
         if not self.sweep:
             raise ValueError("sweep must list at least one parameter value")
         if self.sweep_unit not in ("param", "ebn0_db"):
             raise ValueError(f"unknown sweep unit {self.sweep_unit!r}")
-        if self.sweep_unit == "ebn0_db" and self.channel.get("type") != "awgn":
+        if self.sweep_unit == "ebn0_db" and self.channel["type"] != "awgn":
             raise ValueError("ebn0_db sweeps only make sense for awgn")
-        _check_code_types(self.code)
-        kind = self.code.get("construction")
         if self.sweep_unit == "ebn0_db" and kind == "uncoded":
             raise ValueError("ebn0_db sweeps need a code to define the rate")
         if kind in ("uncoded", "concat") and self.decoder != BpConfig():
             raise ValueError(f"decoder holds a plain code's receiver settings; a {kind} system takes none")
-        if kind == "uncoded" and "k" not in self.code:
-            raise ValueError("uncoded code spec missing key: k")
-        if kind == "uncoded" and self.code["k"] < 1:
+        if kind == "uncoded" and code["k"] < 1:
             raise ValueError("uncoded k must be >= 1")
         if self.chunk < 1:
             raise ValueError("chunk must be positive")
@@ -124,16 +173,17 @@ class SimConfig:
 
 @dataclass
 class SweepPointResult:
-    """Counts for one sweep value, over k message bits per frame."""
+    """Counts for one sweep value, over k message bits per frame; a chunk of
+    trials counts into one too, and merges into its point's."""
 
     param: float
-    frames: int
-    bit_errors: int
-    frame_errors: int
-    avg_iters: float
-    elapsed_s: float
     seed: int
     k: int
+    frames: int = 0
+    bit_errors: int = 0
+    frame_errors: int = 0
+    iters: int = 0
+    elapsed_s: float = 0.0
 
     @property
     def ber(self) -> float:
@@ -143,64 +193,31 @@ class SweepPointResult:
     def fer(self) -> float:
         return self.frame_errors / self.frames if self.frames else 0.0
 
+    @property
+    def avg_iters(self) -> float:
+        return self.iters / self.frames if self.frames else 0.0
 
-@dataclass
-class _PointAccumulator:
-    frames: int = 0
-    bit_errors: int = 0
-    frame_errors: int = 0
-    iters: int = 0
-
-    def merge(self, other: "_PointAccumulator") -> None:
-        self.frames += other.frames
-        self.bit_errors += other.bit_errors
-        self.frame_errors += other.frame_errors
-        self.iters += other.iters
+    def merge(self, chunk: "SweepPointResult") -> None:
+        self.frames += chunk.frames
+        self.bit_errors += chunk.bit_errors
+        self.frame_errors += chunk.frame_errors
+        self.iters += chunk.iters
 
     def done(self, stop: StopRule) -> bool:
         return self.frame_errors >= stop.min_frame_errors or self.frames >= stop.max_frames
 
 
-def _block(raw: dict, key: str, cls=None) -> dict:
-    """raw[key], which must be an object; given a dataclass, its keys must
-    name that class's fields and its values have their defaults' types."""
-    block = raw.get(key, {})
-    if not isinstance(block, dict):
-        raise ValueError(f"{key} must be a JSON object")
-    if cls is None:
-        return dict(block)
-    defaults = {f.name: f.default for f in fields(cls)}
-    for name, value in sorted(block.items()):
-        if name not in defaults:
-            raise ValueError(f"unknown {key} key: {name}")
-        if type(value) is not type(defaults[name]):
-            raise ValueError(f"{key} key {name} must be of type {type(defaults[name]).__name__}")
-    return dict(block)
-
-
 def config_from_dict(raw: dict) -> SimConfig:
     """Validate a JSON-shaped dict into a SimConfig with clear errors."""
-    if not isinstance(raw, dict):
-        raise ValueError("config must be a JSON object")
-    missing = [key for key in ("code", "channel", "sweep") if key not in raw]
-    if missing:
-        raise ValueError(f"config missing required key: {missing[0]}")
-    sweep = raw["sweep"]
-    if not isinstance(sweep, (list, tuple)) or not all(type(x) in (int, float) for x in sweep):
-        raise ValueError("sweep must be a list of parameter values")
-    ints = {key: raw.get(key, default) for key, default in (("seed", 0), ("workers", 0), ("chunk", 256))}
-    for key, value in ints.items():
-        if type(value) is not int:
-            raise ValueError(f"{key} must be an integer")
-    return SimConfig(
-        code=_block(raw, "code"),
-        channel=_block(raw, "channel"),
-        sweep=tuple(float(x) for x in sweep),
-        sweep_unit=raw.get("sweep_unit", "param"),
-        stop=StopRule(**_block(raw, "stop", StopRule)),
-        decoder=BpConfig(**_block(raw, "decoder", BpConfig)),
-        **ints,
-    )
+    values = _checked(raw, _CONFIG_KEYS, "config")
+    if not all(type(x) in (int, float) for x in values["sweep"]):
+        raise ValueError(f"config key sweep must be {_TYPE_NAMES[list]}")
+    return SimConfig(**{
+        **values,
+        "sweep": tuple(float(x) for x in values["sweep"]),
+        "stop": StopRule(**_checked(values["stop"], _field_keys(StopRule), "stop")),
+        "decoder": BpConfig(**_checked(values["decoder"], _field_keys(BpConfig), "decoder")),
+    })
 
 
 def config_digest(cfg: SimConfig) -> str:
@@ -227,28 +244,23 @@ def build_code(spec: dict) -> SystematicCode | ConcatSystem | None:
     channel with hard decisions), and a ConcatSystem for the concat
     construction, whose "inner" block is itself a systematic code spec.
     """
-    kind = spec.get("construction")
-    try:
-        if kind == "uncoded":
-            return None
-        if kind == "bgm":
-            return sample_bgm(int(spec["k"]), int(spec["m"]), float(spec["rho"]), int(spec.get("seed", 0)))
-        if kind == "fixed-row-weight":
-            return sample_fixed_row_weight(int(spec["k"]), int(spec["m"]), int(spec["w"]), int(spec.get("seed", 0)))
-        if kind == "graph-file":
-            code = load_code(spec["path"])
-            if not isinstance(code, SystematicCode):
-                raise ValueError("graph-file construction needs a systematic code matrix")
-            return code
-        if kind == "concat":
-            inner = build_code(spec["inner"])
-            if not isinstance(inner, SystematicCode):
-                raise ValueError("concat construction needs a systematic inner code")
-            outer = extended_hamming(int(spec["outer_r"]))
-            return ConcatSystem(outer, int(spec["blocks"]), inner, interleaver_seed=int(spec.get("interleaver_seed", 0)))
-    except KeyError as exc:
-        raise ValueError(f"{kind} code spec missing key: {exc.args[0]}") from None
-    raise ValueError(f"unknown code construction {kind!r}")
+    c = _checked_code(spec)
+    kind = c["construction"]
+    if kind == "bgm":
+        return sample_bgm(c["k"], c["m"], c["rho"], c["seed"])
+    if kind == "fixed-row-weight":
+        return sample_fixed_row_weight(c["k"], c["m"], c["w"], c["seed"])
+    if kind == "graph-file":
+        code = load_code(c["path"])
+        if not isinstance(code, SystematicCode):
+            raise ValueError("graph-file construction needs a systematic code matrix")
+        return code
+    if kind == "concat":
+        inner = build_code(c["inner"])
+        if not isinstance(inner, SystematicCode):
+            raise ValueError("concat construction needs a systematic inner code")
+        return ConcatSystem(extended_hamming(c["outer_r"]), c["blocks"], inner, interleaver_seed=c["interleaver_seed"])
+    return None
 
 
 @dataclass(frozen=True)
@@ -264,12 +276,12 @@ class _System:
 def _build_system(cfg: SimConfig) -> _System:
     # encode, bp_decode, ... are looked up at call time, so wrappers set on
     # this module (tracing, tests) see every call
+    spec = _checked_code(cfg.code)
     code = build_code(cfg.code)
     if code is None:
-        return _System(int(cfg.code["k"]), None, lambda u: u, lambda llrs: (hard_decision(llrs), 0))
+        return _System(spec["k"], None, lambda u: u, lambda llrs: (hard_decision(llrs), 0))
     if isinstance(code, ConcatSystem):
-        # the receiver settings a code block may set; ConcatConfig supplies the rest
-        rx = ConcatConfig(**{key: int(cfg.code[key]) for key in ("rounds", "first_round_bp_iters") if key in cfg.code})
+        rx = ConcatConfig(rounds=spec["rounds"], first_round_bp_iters=spec["first_round_bp_iters"])
         shape = (code.blocks, code.outer.k)
 
         def decode_concat(llrs):
@@ -295,84 +307,58 @@ def _point_channel(cfg: SimConfig, value: float, rate: float | None):
     return channel_from_config({**cfg.channel, "param": value})
 
 
-def _run_chunk(
-    cfg: SimConfig,
-    system: _System,
-    sweep_idx: int,
-    value: float,
-    t_start: int,
-    t_stop: int,
-) -> _PointAccumulator:
+# the running campaign's cfg and system, set before its pool forks: workers inherit them
+_CAMPAIGN: dict = {}
+
+
+def _run_chunk(chunk: tuple) -> SweepPointResult:
+    cfg, system = _CAMPAIGN["cfg"], _CAMPAIGN["system"]
+    sweep_idx, value, t_start, t_stop = chunk
     ch = _point_channel(cfg, value, system.rate)
-    acc = _PointAccumulator()
+    counts = SweepPointResult(float(value), cfg.seed, system.k)
     for trial in range(t_start, t_stop):
         rng = make_rng(cfg.seed, sweep_idx, trial)
         u = rng.integers(0, 2, size=system.k, dtype=np.uint8)
         received = transmit(ch, system.encode(u), rng)
         u_hat, iters = system.decode(llr(ch, received))
         errs = int(np.count_nonzero(u_hat != u))
-        acc.frames += 1
-        acc.bit_errors += errs
-        acc.frame_errors += int(errs > 0)
-        acc.iters += iters
-    return acc
-
-
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(cfg: SimConfig):
-    _WORKER_STATE.update(cfg=cfg, system=_build_system(cfg))
-
-
-def _worker_chunk(chunk):
-    return _run_chunk(_WORKER_STATE["cfg"], _WORKER_STATE["system"], *chunk)
+        counts.frames += 1
+        counts.bit_errors += errs
+        counts.frame_errors += int(errs > 0)
+        counts.iters += iters
+    return counts
 
 
 def run_campaign(cfg: SimConfig) -> list[SweepPointResult]:
     """Run every sweep point under the stopping rule; see module docstring."""
     system = _build_system(cfg)
+    _CAMPAIGN.update(cfg=cfg, system=system)
     stop = cfg.stop
     results = []
-    pool = None
-    if cfg.workers > 1:
-        pool = multiprocessing.get_context("fork").Pool(cfg.workers, initializer=_worker_init, initargs=(cfg,))
+    pool = multiprocessing.get_context("fork").Pool(cfg.workers) if cfg.workers > 1 else None
     try:
         for sweep_idx, value in enumerate(cfg.sweep):
             t0 = time.perf_counter()
-            acc = _PointAccumulator()
-            while not acc.done(stop):
-                batch_end = min(acc.frames + max(cfg.workers, 1) * cfg.chunk, stop.max_frames)
+            point = SweepPointResult(float(value), cfg.seed, system.k)
+            while not point.done(stop):
+                batch_end = min(point.frames + max(cfg.workers, 1) * cfg.chunk, stop.max_frames)
                 chunks = [
                     (sweep_idx, value, t, min(t + cfg.chunk, batch_end))
-                    for t in range(acc.frames, batch_end, cfg.chunk)
+                    for t in range(point.frames, batch_end, cfg.chunk)
                 ]
-                if pool is not None:
-                    chunk_accs = pool.map(_worker_chunk, chunks)
-                else:
-                    chunk_accs = (_run_chunk(cfg, system, *c) for c in chunks)
-                # merge in submission order, honoring the stop rule at
-                # chunk boundaries so parallel equals serial
-                for chunk_acc in chunk_accs:
-                    if acc.done(stop):
+                # merge in submission order, honoring the stop rule at chunk
+                # boundaries so parallel equals serial; the serial map is lazy
+                for chunk in (map if pool is None else pool.map)(_run_chunk, chunks):
+                    if point.done(stop):
                         break
-                    acc.merge(chunk_acc)
-            results.append(
-                SweepPointResult(
-                    param=float(value),
-                    frames=acc.frames,
-                    bit_errors=acc.bit_errors,
-                    frame_errors=acc.frame_errors,
-                    avg_iters=acc.iters / acc.frames if acc.frames else 0.0,
-                    elapsed_s=time.perf_counter() - t0,
-                    seed=cfg.seed,
-                    k=system.k,
-                )
-            )
+                    point.merge(chunk)
+            point.elapsed_s = time.perf_counter() - t0
+            results.append(point)
     finally:
         if pool is not None:
             pool.close()
             pool.join()
+        _CAMPAIGN.clear()
     return results
 
 

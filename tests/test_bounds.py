@@ -54,8 +54,10 @@ class TestBerLowerBound:
 
     def test_rejects_bad_sigma(self):
         code = sample_bgm(4, 4, 0.25, seed=0)
-        with pytest.raises(ValueError):
-            ber_lower_bound(code, 0.0)
+        for sigma in (0.0, float("nan"), float("inf")):
+            for bound in (ber_lower_bound, fer_lower_bound, fer_lower_bound_approx):
+                with pytest.raises(ValueError, match="^sigma must be finite and positive"):
+                    bound(code, sigma)
 
 
 class TestGreedyOrthogonalList:

@@ -59,8 +59,9 @@ class TestTransmit:
             Bsc(1.5)
         with pytest.raises(ValueError):
             Bec(-0.1)
-        with pytest.raises(ValueError):
-            BpskAwgn(0.0)
+        for sigma in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^sigma must be finite and positive"):
+                BpskAwgn(sigma)
 
 
 class TestLlr:

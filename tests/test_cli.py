@@ -40,6 +40,14 @@ class TestBounds:
         assert float(lines["ber_lower_bound"]) == pytest.approx(q, rel=1e-5)
         assert lines["fer_lower_bound"] == lines["fer_lower_bound_approx"]
 
+    @pytest.mark.parametrize("sigma", ("nan", "inf", "0"))
+    def test_sigma_must_be_finite_and_positive(self, capsys, tmp_path, sigma):
+        path = str(tmp_path / "code.npz")
+        save_code(SystematicCode(4, 2, BitMatrix(4, 2, [[0], [1], [], []])), path)
+        code, out, err = run_cli(capsys, "bounds", "--code", path, "--sigma", sigma)
+        assert (code, out) == (2, "")
+        assert err == f"error: sigma must be finite and positive, got {float(sigma)}\n"
+
 
 class TestSampleAndEncode:
     def test_round_trip(self, capsys, tmp_path):
@@ -129,21 +137,21 @@ class TestSimulate:
         assert err == "error: outer stream length 3*8 does not match inner k=16\n"
 
     @pytest.mark.parametrize("fault", (
-        ({"code": {"construction": "bgm", "m": 8, "rho": 0.1}}, "bgm code spec missing key: k"),
+        ({"code": {"construction": "bgm", "m": 8, "rho": 0.1}}, "bgm code missing key: k"),
         ({"decoder": {"max_iters": 5}}, "unknown decoder key: max_iters"),
         ({"stop": {"max_frame": 5}}, "unknown stop key: max_frame"),
         ({"decoder": {"llr_clamp": 30.0}}, "unknown decoder key: llr_clamp"),
-        ({"sweep": 0.1}, "sweep must be a list of parameter values"),
+        ({"sweep": 0.1}, "config key sweep must be a list of parameter values"),
         ({"code": {"construction": "uncoded", "k": 0}}, "uncoded k must be >= 1"),
         ({"code": {"construction": "concat", "outer_r": 3, "blocks": 2, "rounds": 0,
                    "inner": {"construction": "bgm", "k": 16, "m": 8, "rho": 0.2}}}, "rounds must be >= 1"),
         (None, "config must be a JSON object"),  # the valid config, wrapped in a list
-        ({"code": [1]}, "code must be a JSON object"),
-        ({"stop": [5]}, "stop must be a JSON object"),
-        ({"stop": {"max_frames": "5"}}, "stop key max_frames must be of type int"),
-        ({"decoder": {"max_iterations": 2.5}}, "decoder key max_iterations must be of type int"),
-        ({"seed": None}, "seed must be an integer"),
-        ({"sweep": [[0.5]]}, "sweep must be a list of parameter values"),
+        ({"code": [1]}, "config key code must be a JSON object"),
+        ({"stop": [5]}, "config key stop must be a JSON object"),
+        ({"stop": {"max_frames": "5"}}, "stop key max_frames must be an integer"),
+        ({"decoder": {"max_iterations": 2.5}}, "decoder key max_iterations must be an integer"),
+        ({"seed": None}, "config key seed must be an integer"),
+        ({"sweep": [[0.5]]}, "config key sweep must be a list of parameter values"),
         # integer keys are never truncated: a float or a boolean is refused
         ({"code": {"construction": "bgm", "k": 16.9, "m": 16, "rho": 0.1}}, "bgm code key k must be an integer"),
         ({"code": {"construction": "bgm", "k": 16, "m": "16", "rho": 0.1}}, "bgm code key m must be an integer"),
@@ -166,7 +174,18 @@ class TestSimulate:
         ({"code": {"construction": "concat", "outer_r": 3, "blocks": 2, "first_round_bp_iters": 0,
                    "inner": {"construction": "bgm", "k": 16, "m": 8, "rho": 0.2}}},
          "first_round_bp_iters must be >= 1"),
-        ({"sweep": [True]}, "sweep must be a list of parameter values"),
+        ({"sweep": [True]}, "config key sweep must be a list of parameter values"),
+        # no key is ignored: each of these once ran as if it were absent
+        ({"code": {"construction": "bgm", "k": 8, "m": 8, "rho": 0.1, "sed": 5}}, "unknown bgm code key: sed"),
+        ({"channel": {"type": "awgn", "prm": 3}}, "unknown channel key: prm"),
+        ({"channel": {"type": "awgn", "param": 0.3}}, "unknown channel key: param"),
+        ({"sede": 4}, "unknown config key: sede"),
+        ({"code": {"construction": "concat", "outer_r": 3, "blocks": 2,
+                   "inner": {"construction": "bgm", "k": 16, "m": 8, "rho": 0.2, "rounds": 2}}},
+         "unknown bgm code key: rounds"),
+        # the sweep supplies sigma, which must be finite
+        ({"sweep": [float("nan"), float("inf")]}, "sigma must be finite and positive, got nan"),
+        ({"sweep": [float("inf")]}, "sigma must be finite and positive, got inf"),
     ))
     def test_config_error_exits_two_with_one_line(self, capsys, tmp_path, fault):
         change, message = fault
@@ -328,6 +347,14 @@ class TestExponentCommand:
         )
         assert code == 0
         assert out == "exponent_bits: 0.00000000\n"
+
+
+    @pytest.mark.parametrize("param", ("nan", "inf"))
+    def test_awgn_sigma_must_be_finite(self, capsys, param):
+        for extra in ((), ("--rate", "0.1")):
+            code, out, err = run_cli(capsys, "exponent", "--channel", "awgn", "--param", param, "--p", "0.5", *extra)
+            assert (code, out) == (2, "")
+            assert err == f"error: sigma must be finite and positive, got {float(param)}\n"
 
 
 class TestIowefCommand:

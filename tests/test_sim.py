@@ -81,19 +81,35 @@ class TestConfig:
         # an uncoded system decides bit by bit, so a decoder block would only move the digest
         with pytest.raises(ValueError, match="receiver settings"):
             bsc_uncoded_config(decoder=BpConfig(max_iterations=3))
-        with pytest.raises(ValueError, match="^uncoded code spec missing key: k$"):
+        with pytest.raises(ValueError, match="^uncoded code missing key: k$"):
             SimConfig(code={"construction": "uncoded"}, channel={"type": "bsc"}, sweep=(0.1,))
         with pytest.raises(ValueError, match="^uncoded k must be >= 1$"):
             SimConfig(code={"construction": "uncoded", "k": 0}, channel={"type": "bsc"}, sweep=(0.1,))
         with pytest.raises(ValueError, match="^config must be a JSON object$"):
             config_from_dict([{"code": {}, "channel": {"type": "bsc"}, "sweep": [0.1]}])
-        with pytest.raises(ValueError, match="^sweep must be a list of parameter values$"):
+        with pytest.raises(ValueError, match="^config key sweep must be a list of parameter values$"):
             config_from_dict({"code": {}, "channel": {"type": "bsc"}, "sweep": 0.1})
         for block, key in (("decoder", "max_iters"), ("decoder", "llr_clamp"), ("stop", "max_frame")):
             with pytest.raises(ValueError, match=f"^unknown {block} key: {key}$"):
                 config_from_dict({"code": {}, "channel": {"type": "bsc"}, "sweep": [0.1], block: {key: 5}})
         with pytest.raises(ValueError):
             StopRule(min_frame_errors=0)
+
+    def test_unknown_keys_are_refused(self):
+        # scripts build SimConfig directly, so it checks its blocks itself
+        with pytest.raises(ValueError, match="^unknown bgm code key: sed$"):
+            SimConfig(code={**PLAIN_8_32, "sed": 5}, channel={"type": "awgn"}, sweep=(0.5,))
+        with pytest.raises(ValueError, match="^unknown channel key: param$"):
+            SimConfig(code=PLAIN_8_32, channel={"type": "awgn", "param": 0.3}, sweep=(0.5,))
+        with pytest.raises(ValueError, match="^unknown bgm code key: sed$"):
+            build_code({**CONCAT_8_32, "inner": {**CONCAT_8_32["inner"], "sed": 5}})
+
+    def test_check_leaves_the_block_and_digest_alone(self):
+        # the check fills in no defaults, so a campaign's digest stays what it was
+        code = {"construction": "concat", "outer_r": 3, "blocks": 2, "inner": CONCAT_8_32["inner"]}
+        cfg = SimConfig(code=dict(code), channel={"type": "awgn"}, sweep=(0.5,))
+        assert cfg.code == code
+        assert config_digest(cfg) == "c071227a677236bc"
 
     def test_digest_tracks_content(self):
         a = bsc_uncoded_config()
@@ -129,9 +145,9 @@ class TestBuildCode:
             build_code({"construction": "polar"})
 
     def test_missing_key_is_named(self):
-        with pytest.raises(ValueError, match="^bgm code spec missing key: k$"):
+        with pytest.raises(ValueError, match="^bgm code missing key: k$"):
             build_code({"construction": "bgm", "m": 8, "rho": 0.1})
-        with pytest.raises(ValueError, match="^bgm code spec missing key: rho$"):
+        with pytest.raises(ValueError, match="^bgm code missing key: rho$"):
             build_code({**CONCAT_8_32, "inner": {"construction": "bgm", "k": 16, "m": 16}})
 
 
