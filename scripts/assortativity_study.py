@@ -25,7 +25,8 @@ def build(d1, d2, target, epsilon=0.02, seed=0):
         built = configuration_model(d1, d2, target, epsilon=epsilon, seed=seed)
         return built.graph, built.r_measured, None
     except GraphGenerationError as exc:
-        return (exc.best_result.graph if exc.best_result else None), exc.best_r, exc
+        best = exc.best_result
+        return (best.graph, best.r_measured, exc) if best else (None, None, exc)
 
 
 def main():

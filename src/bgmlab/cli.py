@@ -48,18 +48,28 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _refuse(args, flags, reason: str) -> None:
+    """One-line error naming every flag of `flags` the command line set."""
+    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)}: {reason}")
+
+
 def _cmd_sample_code(args) -> int:
-    seed = _resolve_seed(args)
-    if args.construction == "bgm":
-        code = sample_bgm(args.k, args.m, args.rho, seed)
-    elif args.construction == "fixed-row-weight":
+    if args.construction == "fixed-row-weight":
+        _refuse(args, ("rho",), "not read by fixed-row-weight, which takes --w")
         if args.w is None:
             raise ValueError("fixed-row-weight needs --w")
-        code = sample_fixed_row_weight(args.k, args.m, args.w, seed)
-    elif args.construction == "bpc":
-        code = sample_bpc(args.k, args.m, args.rho, seed)
     else:
-        raise ValueError(f"unknown construction {args.construction!r}")
+        _refuse(args, ("w",), f"not read by {args.construction}, which takes --rho")
+    rho = 0.5 if args.rho is None else args.rho
+    seed = _resolve_seed(args)
+    if args.construction == "bgm":
+        code = sample_bgm(args.k, args.m, rho, seed)
+    elif args.construction == "fixed-row-weight":
+        code = sample_fixed_row_weight(args.k, args.m, args.w, seed)
+    else:
+        code = sample_bpc(args.k, args.m, rho, seed)
     save_code(code, args.out)
     print(f"wrote {args.out} and {args.out}.json")
     return 0
@@ -161,13 +171,24 @@ def _digest(arr) -> str:
 
 
 def _cmd_popdyn(args) -> int:
+    graph = args.graph is not None
+    if args.regular and graph:
+        raise ValueError("--regular and --graph are exclusive")
+    if not args.regular:
+        _refuse(args, ("dv", "dc"), "not read without --regular")
+    if args.regular or graph:
+        _refuse(args, ("k", "m", "rho"), "not read with --regular or --graph")
     seed = _resolve_seed(args)
     if args.regular:
-        law = regular_law(args.dv, args.dc)
-    elif args.graph is not None:
+        law = regular_law(3 if args.dv is None else args.dv, 6 if args.dc is None else args.dc)
+    elif graph:
         law = law_from_graph(load_code(args.graph).g)
     else:
-        law = law_from_ensemble(args.k, args.m, args.rho)
+        law = law_from_ensemble(
+            1024 if args.k is None else args.k,
+            1024 if args.m is None else args.m,
+            0.002 if args.rho is None else args.rho,
+        )
     ch = channel_from_config({"type": args.channel, "param": args.param})
     records = popdyn_run(
         ch, law, population=args.population, iterations=args.iterations, seed=seed
@@ -192,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", choices=("bgm", "fixed-row-weight", "bpc"), default="bgm")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--rho", type=float, default=0.5)
+    p.add_argument("--rho", type=float, default=None, help="one-probability for bgm and bpc (default 0.5)")
     p.add_argument("--w", type=int, default=None, help="row weight for fixed-row-weight")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -245,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("popdyn", help="density evolution by population sampling")
     p.add_argument("--regular", action="store_true", help="use a single-degree law")
-    p.add_argument("--dv", type=int, default=3)
-    p.add_argument("--dc", type=int, default=6)
-    p.add_argument("--k", type=int, default=1024)
-    p.add_argument("--m", type=int, default=1024)
-    p.add_argument("--rho", type=float, default=0.002)
+    p.add_argument("--dv", type=int, default=None, help="--regular variable degree (default 3)")
+    p.add_argument("--dc", type=int, default=None, help="--regular check degree (default 6)")
+    p.add_argument("--k", type=int, default=None, help="ensemble law k (default 1024)")
+    p.add_argument("--m", type=int, default=None, help="ensemble law m (default 1024)")
+    p.add_argument("--rho", type=float, default=None, help="ensemble law rho (default 0.002)")
     p.add_argument("--graph", metavar="CODE", default=None, help="model this saved code's normal graph")
     p.add_argument("--channel", choices=("bsc", "bec", "awgn"), required=True)
     p.add_argument("--param", type=float, required=True)

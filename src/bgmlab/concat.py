@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf2 import BitMatrix, gf2_null_space
+from .gf2 import BitMatrix
 from .ensemble import SystematicCode, encode
 from .decode import LLR_CLAMP, BpConfig, BpGraph, DecodeOutcome, bp_decode, hard_decision
 from .rng import make_rng
@@ -23,7 +23,6 @@ from .rng import make_rng
 __all__ = [
     "ExtendedHammingCode",
     "extended_hamming",
-    "SyndromeTrellis",
     "bcjr_decode",
     "ConcatConfig",
     "ConcatSystem",
@@ -34,15 +33,21 @@ __all__ = [
 
 @dataclass(eq=False)
 class ExtendedHammingCode:
-    """[2^r, 2^r - r - 1] code: Hamming plus an overall parity bit."""
+    """[2^r, 2^r - r - 1] code: Hamming plus an overall parity bit.
+
+    The code is its column-syndrome table: column j of H is the bits of
+    ((j + 1) mod n) | 2^r, the bits of j + 1 over an all-ones parity row.
+    H, the parity and message positions, the generator and the labels of
+    the BCJR trellis all read that one array.
+    """
 
     r: int
     n: int = field(init=False)
     k: int = field(init=False)
+    column_syndromes: np.ndarray = field(init=False, repr=False)
     parity_check: BitMatrix = field(init=False, repr=False)
     generator: BitMatrix = field(init=False, repr=False)
     info: np.ndarray = field(init=False, repr=False)
-    trellis: SyndromeTrellis = field(init=False, repr=False)
     _gen_dense: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -50,25 +55,25 @@ class ExtendedHammingCode:
             raise ValueError(f"need r >= 2, got {self.r}")
         self.n = 2**self.r
         self.k = self.n - self.r - 1
-        h = np.zeros((self.r + 1, self.n), dtype=np.uint8)
-        for col in range(self.n - 1):
-            value = col + 1
-            for bit in range(self.r):
-                h[bit, col] = (value >> bit) & 1
-        h[self.r, :] = 1  # overall parity row covers every position
-        self.parity_check = BitMatrix.from_dense(h)
-        basis = gf2_null_space(h)
-        if basis.shape[0] != self.k:
-            raise ValueError("parity-check matrix rank is off")
-        self._gen_dense = basis
-        self.generator = BitMatrix.from_dense(basis)
-        # message positions: the first unit column of each generator row
-        unit = np.flatnonzero(basis.sum(axis=0) == 1)
-        _, first = np.unique(basis[:, unit].argmax(axis=0), return_index=True)
-        self.info = unit[first]
-        if not np.array_equal(basis[:, self.info], np.eye(self.k, dtype=np.uint8)):
-            raise ValueError("generator carries no identity on its message positions")
-        self.trellis = SyndromeTrellis(self.parity_check)
+        syn = ((np.arange(self.n) + 1) % self.n) | self.n
+        self.column_syndromes = syn
+        self.parity_check = BitMatrix.from_dense((syn >> np.arange(self.r + 1)[:, None]) & 1)
+        # parity positions: the leftmost columns outside the span of the
+        # columns before them (the RREF pivots); `reach` maps each syndrome
+        # they span to the bitmask of the parity columns that sum to it
+        parity, reach = [], {0: 0}
+        for j, s in enumerate(syn.tolist()):
+            if s not in reach:
+                reach.update({t ^ s: mask | 1 << len(parity) for t, mask in reach.items()})
+                parity.append(j)
+        self.info = np.delete(np.arange(self.n), parity)
+        # message position j's row: a 1 at j, plus the parity columns summing to its syndrome
+        masks = np.array([reach[s] for s in syn[self.info].tolist()])
+        gen = np.zeros((self.k, self.n), dtype=np.uint8)
+        gen[np.arange(self.k), self.info] = 1
+        gen[:, parity] = (masks[:, None] >> np.arange(len(parity))) & 1
+        self._gen_dense = gen
+        self.generator = BitMatrix.from_dense(gen)
 
     def encode(self, messages) -> np.ndarray:
         """Codewords (..., n) of one message or a (..., k) stack of them."""
@@ -82,41 +87,27 @@ def extended_hamming(r: int) -> ExtendedHammingCode:
     return ExtendedHammingCode(r)
 
 
-class SyndromeTrellis:
-    """Sectionalized syndrome trellis of a binary linear code.
-
-    State after t sections is the partial syndrome of the first t bits; a
-    codeword is any 0 -> 0 path.  State count is 2^(rows of H), at most
-    2^(r+1) for the extended Hamming family.
-    """
-
-    def __init__(self, parity_check: BitMatrix):
-        h = parity_check.to_dense()
-        self.n = h.shape[1]
-        self.n_states = 1 << h.shape[0]
-        weights = 1 << np.arange(h.shape[0], dtype=np.int64)
-        self.column_syndromes = (h.astype(np.int64) * weights[:, None]).sum(axis=0)
-
-
 def bcjr_decode(code: ExtendedHammingCode, prior_llrs) -> np.ndarray:
     """Bitwise MAP posterior LLRs over the code, from per-bit prior LLRs.
 
     Log-domain forward-backward on the code's syndrome trellis, run at once
-    over every block of a (..., n) stack of priors.  Branch metrics are
-    +/- L/2 per bit so per-section constants cancel in the posteriors.
+    over every block of a (..., n) stack of priors.  The state after t
+    sections is the partial syndrome of the first t bits, one of 2n values,
+    and a 1 at bit t moves it by `column_syndromes[t]`; codewords are the
+    0 -> 0 paths.  Branch metrics are +/- L/2 per bit so per-section
+    constants cancel in the posteriors.
     """
-    trellis = code.trellis
+    n, syn = code.n, code.column_syndromes.tolist()
     priors = np.asarray(prior_llrs, dtype=np.float64)
-    if priors.shape[-1:] != (trellis.n,):
-        raise ValueError(f"prior shape {priors.shape} does not end in n={trellis.n}")
-    n = trellis.n
-    state_idx = np.arange(trellis.n_states)
+    if priors.shape[-1:] != (n,):
+        raise ValueError(f"prior shape {priors.shape} does not end in n={n}")
+    state_idx = np.arange(2 * n)
 
-    alpha = np.full((n + 1, *priors.shape[:-1], trellis.n_states), -np.inf)
+    alpha = np.full((n + 1, *priors.shape[:-1], 2 * n), -np.inf)
     alpha[0, ..., 0] = 0.0
     for t in range(n):
         half = 0.5 * priors[..., t, None]
-        flip = state_idx ^ int(trellis.column_syndromes[t])
+        flip = state_idx ^ syn[t]
         stay = alpha[t] + half
         move = (alpha[t] - half)[..., flip]
         alpha[t + 1] = np.logaddexp(stay, move)
@@ -127,7 +118,7 @@ def bcjr_decode(code: ExtendedHammingCode, prior_llrs) -> np.ndarray:
     beta[..., 0] = 0.0
     for t in range(n - 1, -1, -1):
         half = 0.5 * priors[..., t, None]
-        flip = state_idx ^ int(trellis.column_syndromes[t])
+        flip = state_idx ^ syn[t]
         num0 = _logsumexp(alpha[t] + half + beta)
         num1 = _logsumexp(alpha[t] - half + beta[..., flip])
         posterior[..., t] = num0 - num1

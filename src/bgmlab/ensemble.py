@@ -253,6 +253,13 @@ def load_code(path) -> SystematicCode:
             meta = json.load(fh)
     except FileNotFoundError:
         pass
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}.json: the sidecar must be a JSON object")
+    for key, size in (("k", g.rows), ("m", g.cols)):
+        if meta.get(key, size) != size:
+            raise ValueError(
+                f"{path}.json: sidecar {key}={meta[key]} contradicts the matrix header's {key}={size}"
+            )
     meta = {key: val for key, val in meta.items() if key not in ("k", "m")}
     if meta.get("construction") == "bpc":
         return BpcCode(g.rows, g.cols, g, meta=meta)

@@ -12,29 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "bits",
     "bits_from_string",
     "bits_to_string",
-    "weight",
     "BitMatrix",
     "mat_vec_mul",
-    "density",
     "rank",
     "save_matrix",
     "load_matrix",
-    "gf2_rref",
-    "gf2_null_space",
 ]
-
-
-def bits(values) -> np.ndarray:
-    """Coerce to a uint8 array and check every entry is 0 or 1."""
-    v = np.asarray(values, dtype=np.uint8)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D bit vector, got shape {v.shape}")
-    if v.size and v.max() > 1:
-        raise ValueError("bit vectors may only contain 0 and 1")
-    return v
 
 
 def bits_from_string(s: str) -> np.ndarray:
@@ -47,11 +32,6 @@ def bits_from_string(s: str) -> np.ndarray:
 
 def bits_to_string(v) -> str:
     return "".join("1" if b else "0" for b in np.asarray(v))
-
-
-def weight(v) -> int:
-    """Hamming weight."""
-    return int(np.asarray(v).sum())
 
 
 class BitMatrix:
@@ -156,13 +136,6 @@ def mat_vec_mul(m: BitMatrix, v) -> np.ndarray:
     return (np.bincount(selected, minlength=m.cols) & 1).astype(np.uint8)
 
 
-def density(m: BitMatrix) -> float:
-    """Fraction of nonzero entries.  Errors on an empty matrix."""
-    if m.rows == 0 or m.cols == 0:
-        raise ValueError("density of an empty matrix is undefined")
-    return m.nnz() / (m.rows * m.cols)
-
-
 def _rows_as_ints(m: BitMatrix) -> list[int]:
     out = [0] * m.rows
     for i, j in m.edges.tolist():
@@ -209,49 +182,3 @@ def load_matrix(path) -> BitMatrix:
         if fh.read().strip():
             raise ValueError(f"{path}: data after the {rows} rows the header announces")
     return BitMatrix(rows, cols, supports)
-
-
-def gf2_rref(a) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of a dense 0/1 array.
-
-    Returns (rref, pivot_columns).  Intended for small matrices; elimination
-    is vectorized across rows but scans columns left to right.
-    """
-    r = np.asarray(a, dtype=np.uint8).copy()
-    n_rows, n_cols = r.shape
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        if row >= n_rows:
-            break
-        sub = np.flatnonzero(r[row:, col])
-        if sub.size == 0:
-            continue
-        pivot = row + sub[0]
-        if pivot != row:
-            r[[row, pivot]] = r[[pivot, row]]
-        mask = np.flatnonzero(r[:, col])
-        mask = mask[mask != row]
-        r[mask] ^= r[row]
-        pivot_cols.append(col)
-        row += 1
-    return r, pivot_cols
-
-
-def gf2_null_space(a) -> np.ndarray:
-    """Basis for {v : a @ v = 0 (mod 2)} as rows of a dense uint8 array.
-
-    The basis is in the standard free-variable form: basis vector t has a 1
-    at the t-th free column and satisfies the pivot equations.
-    """
-    a = np.asarray(a, dtype=np.uint8)
-    n_cols = a.shape[1]
-    rref, pivot_cols = gf2_rref(a)
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    basis = np.zeros((len(free_cols), n_cols), dtype=np.uint8)
-    for t, fc in enumerate(free_cols):
-        basis[t, fc] = 1
-        for row_idx, pc in enumerate(pivot_cols):
-            if rref[row_idx, fc]:
-                basis[t, pc] = 1
-    return basis

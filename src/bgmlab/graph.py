@@ -82,14 +82,8 @@ def assortativity(g: BitMatrix) -> float:
 class GraphGenerationError(RuntimeError):
     """Raised when no graph meets the request; carries the closest build."""
 
-    def __init__(
-        self,
-        message: str,
-        best_r: float | None = None,
-        best_result: "GraphBuildResult | None" = None,
-    ):
+    def __init__(self, message: str, best_result: "GraphBuildResult | None" = None):
         super().__init__(message)
-        self.best_r = best_r
         self.best_result = best_result
 
 
@@ -242,7 +236,6 @@ def configuration_model(
         raise GraphGenerationError(
             f"{why} before reaching r*={r_star} +/- {epsilon}; "
             f"best r={result.r_measured:.4f}",
-            best_r=result.r_measured,
             best_result=result,
         )
     return result

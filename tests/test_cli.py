@@ -81,6 +81,39 @@ class TestSampleAndEncode:
         assert "error:" in err
 
 
+    @pytest.mark.parametrize("argv, message", (
+        (("--construction", "bgm", "--w", "3"), "--w: not read by bgm, which takes --rho"),
+        (("--construction", "bpc", "--w", "3"), "--w: not read by bpc, which takes --rho"),
+        (("--construction", "fixed-row-weight", "--w", "3", "--rho", "0.1"),
+         "--rho: not read by fixed-row-weight, which takes --w"),
+    ))
+    def test_flag_the_construction_does_not_read_exits_two(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "c.npz"
+        code, stdout, err = run_cli(
+            capsys, "sample-code", *argv, "--k", "8", "--m", "4", "--seed", "1", "--out", str(out),
+        )
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_omitted_rho_keeps_its_default(self, capsys, tmp_path):
+        for name, extra in (("default", ()), ("explicit", ("--rho", "0.5"))):
+            path = str(tmp_path / name)
+            assert run_cli(capsys, "sample-code", *extra, "--k", "8", "--m", "6", "--seed", "2", "--out", path)[0] == 0
+        assert load_code(str(tmp_path / "default")).g == load_code(str(tmp_path / "explicit")).g
+
+    @pytest.mark.parametrize("sidecar, message", (
+        ({"k": 99}, "sidecar k=99 contradicts the matrix header's k=8"),
+        ({"k": 8, "m": 5}, "sidecar m=5 contradicts the matrix header's m=4"),
+        ([8, 4], "the sidecar must be a JSON object"),
+    ))
+    def test_sidecar_that_contradicts_the_matrix_exits_two(self, capsys, tmp_path, sidecar, message):
+        path = str(tmp_path / "code.npz")
+        run_cli(capsys, "sample-code", "--k", "8", "--m", "4", "--seed", "1", "--out", path)
+        (tmp_path / "code.npz.json").write_text(json.dumps(sidecar))
+        code, out, err = run_cli(capsys, "encode", "--code", path, "--message", "10110001")
+        assert (code, out, err) == (2, "", f"error: {path}.json: {message}\n")
+
+
 class TestSimulate:
     def write_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -277,6 +310,28 @@ class TestPopdynCommand:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 4
+
+    @pytest.mark.parametrize("argv, message", (
+        (("--regular", "--graph", "g.txt"), "--regular and --graph are exclusive"),
+        (("--graph", "g.txt", "--k", "5"), "--k: not read with --regular or --graph"),
+        (("--regular", "--m", "5", "--rho", "0.1"), "--m, --rho: not read with --regular or --graph"),
+        (("--dv", "4"), "--dv: not read without --regular"),
+        (("--graph", "g.txt", "--dc", "4"), "--dc: not read without --regular"),
+    ))
+    def test_flag_the_law_does_not_read_exits_two(self, capsys, tmp_path, argv, message):
+        code, out, err = run_cli(
+            capsys, "popdyn", *argv, "--channel", "bec", "--param", "0.3",
+            "--population", "200", "--iterations", "1", "--seed", "1",
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_omitted_law_flags_keep_their_defaults(self, capsys):
+        common = ("--channel", "bec", "--param", "0.3", "--population", "500", "--iterations", "2", "--seed", "1")
+        for implicit, explicit in (
+            (("--regular",), ("--regular", "--dv", "3", "--dc", "6")),
+            ((), ("--k", "1024", "--m", "1024", "--rho", "0.002")),
+        ):
+            assert run_cli(capsys, "popdyn", *implicit, *common)[1] == run_cli(capsys, "popdyn", *explicit, *common)[1]
 
     def test_graph_file_without_header_exits_two(self, capsys, tmp_path):
         # edge lists, with or without the "# n_var n_chk" line graphgen once wrote

@@ -9,7 +9,6 @@ import pytest
 from bgmlab.concat import (
     ConcatConfig,
     ConcatSystem,
-    SyndromeTrellis,
     bcjr_decode,
     concat_decode,
     concat_encode,
@@ -39,7 +38,50 @@ def map_bit_llrs(codewords, priors):
     return posts
 
 
+def defined_parity_check(r):
+    """H from its definition: the bits of j + 1 in column j, over an all-ones row."""
+    n = 2**r
+    h = np.zeros((r + 1, n), dtype=np.uint8)
+    for col in range(n - 1):
+        for bit in range(r):
+            h[bit, col] = ((col + 1) >> bit) & 1
+    h[r, :] = 1
+    return h
+
+
+# sha256 of generator.to_dense() (uint8) and of info (int64), taken from the
+# generic RREF null-space construction the code was first built with
+PINNED_GENERATORS = {
+    3: ("7701ade06636806cf9f7670ebe2f64e6a739c8c3ef743d6fcee6237c1237c5e0",
+        "97da16b117bfaed900e6a458faa28a3e21d09f979dc32090dcb2278b44788ea7"),
+    4: ("f35960814fdc0918b657b8bdbce73eeb609a24f2c9dbcac4e8d46937b389b6ad",
+        "c58fb5584c2a96ac3f68ab391bd44b59e8520a293255dc1d12f66263710c46ee"),
+    5: ("ee01ba5c47bc04e3945d8fe3960d7d7ca29f89335a8fe786037cbe9eca82adc8",
+        "133dbcd1445dbce632d40d48c189e74745e32e00ba9aef6d3a07988ed25e891c"),
+    6: ("6c87b97b23bc2c6762d506c4aca44f440c02c5fe2fb33c07b080acab31032581",
+        "6525538234c2b94876e3f68800ad0fa22843efc2925c43915eebd6b904129dff"),
+}
+
+
 class TestExtendedHamming:
+    def test_parity_check_matches_its_definition(self):
+        for r in range(2, 7):
+            code = extended_hamming(r)
+            h = defined_parity_check(r)
+            assert np.array_equal(code.parity_check.to_dense(), h)
+            weights = 1 << np.arange(r + 1, dtype=np.int64)
+            assert np.array_equal(code.column_syndromes, weights @ h)
+
+    @pytest.mark.parametrize("r", sorted(PINNED_GENERATORS))
+    def test_generator_and_info_are_pinned(self, r):
+        code = extended_hamming(r)
+        gen = code.generator.to_dense()
+        info = np.ascontiguousarray(code.info, dtype=np.int64)
+        assert gen.dtype == np.uint8
+        assert np.array_equal(gen[:, code.info], np.eye(code.k, dtype=np.uint8))
+        digests = (hashlib.sha256(gen.tobytes()).hexdigest(), hashlib.sha256(info.tobytes()).hexdigest())
+        assert digests == PINNED_GENERATORS[r]
+
     def test_dimensions(self):
         for r, n, k in ((2, 4, 1), (3, 8, 4), (4, 16, 11), (10, 1024, 1013)):
             code = extended_hamming(r)
@@ -82,13 +124,12 @@ class TestExtendedHamming:
 class TestSyndromeTrellis:
     def test_zero_terminated_paths_are_exactly_the_codewords(self):
         code = extended_hamming(3)
-        trellis = SyndromeTrellis(code.parity_check)
         cws, _ = all_codewords(code)
         codebook = {bytes(c) for c in cws}
         for value in range(1 << code.n):
             bits = ((value >> np.arange(code.n - 1, -1, -1)) & 1).astype(np.uint8)
             # the state after t sections: partial syndrome of the first t bits
-            states = np.concatenate([[0], np.bitwise_xor.accumulate(bits * trellis.column_syndromes)])
+            states = np.concatenate([[0], np.bitwise_xor.accumulate(bits * code.column_syndromes)])
             assert states.size == code.n + 1
             assert (states[-1] == 0) == (bytes(bits) in codebook)
 
@@ -107,30 +148,30 @@ class TestBcjrDecode:
     def test_probability_domain_oracle(self):
         # independent forward-backward with explicit probabilities
         code = extended_hamming(3)
-        trellis = SyndromeTrellis(code.parity_check)
-        syn = trellis.column_syndromes
+        syn = code.column_syndromes
+        n_states = 2 * code.n
         rng = make_rng(9, "bcjr-prob")
         for _ in range(10):
             priors = 1.5 * rng.standard_normal(code.n)
             p0 = 1.0 / (1.0 + np.exp(-priors))
-            alphas = [np.eye(trellis.n_states)[0]]
+            alphas = [np.eye(n_states)[0]]
             for t in range(code.n):
-                nxt = np.zeros(trellis.n_states)
-                for s in range(trellis.n_states):
+                nxt = np.zeros(n_states)
+                for s in range(n_states):
                     nxt[s] += alphas[-1][s] * p0[t]
                     nxt[s ^ int(syn[t])] += alphas[-1][s] * (1.0 - p0[t])
                 alphas.append(nxt / nxt.sum())
-            beta = np.eye(trellis.n_states)[0]
+            beta = np.eye(n_states)[0]
             posts = np.empty(code.n)
             for t in range(code.n - 1, -1, -1):
                 num0 = (alphas[t] * p0[t] * beta).sum()
                 num1 = sum(
                     alphas[t][s] * (1.0 - p0[t]) * beta[s ^ int(syn[t])]
-                    for s in range(trellis.n_states)
+                    for s in range(n_states)
                 )
                 posts[t] = np.log(num0) - np.log(num1)
-                new = np.empty(trellis.n_states)
-                for s in range(trellis.n_states):
+                new = np.empty(n_states)
+                for s in range(n_states):
                     new[s] = beta[s] * p0[t] + beta[s ^ int(syn[t])] * (1.0 - p0[t])
                 beta = new / new.sum()
             np.testing.assert_allclose(bcjr_decode(code, priors), posts, atol=1e-7)
