@@ -91,55 +91,48 @@ def bcjr_decode(code: ExtendedHammingCode, prior_llrs) -> np.ndarray:
     """Bitwise MAP posterior LLRs over the code, from per-bit prior LLRs.
 
     Log-domain forward-backward on the code's syndrome trellis, run at once
-    over every block of a (..., n) stack of priors.  The state after t
-    sections is the partial syndrome of the first t bits, one of 2n values,
-    and a 1 at bit t moves it by `column_syndromes[t]`; codewords are the
-    0 -> 0 paths.  Branch metrics are +/- L/2 per bit so per-section
-    constants cancel in the posteriors.
+    over every block of a (..., n) stack of finite priors.  The state after
+    t sections is the partial syndrome of the first t bits, one of 2n
+    values, and a 1 at bit t moves it by `column_syndromes[t]`; codewords
+    are the 0 -> 0 paths.  Branch metrics are +/- L/2 per bit so
+    per-section constants cancel in the posteriors.  One sweep of n - 1
+    steps walks both recursions: step i moves the forward metrics over
+    section i and the backward metrics over section n - 1 - i.
     """
-    n, syn = code.n, code.column_syndromes.tolist()
+    n, states = code.n, 2 * code.n
     priors = np.asarray(prior_llrs, dtype=np.float64)
     if priors.shape[-1:] != (n,):
         raise ValueError(f"prior shape {priors.shape} does not end in n={n}")
-    state_idx = np.arange(2 * n)
+    if not np.isfinite(priors).all():
+        raise ValueError("prior LLRs must be finite")
+    half = 0.5 * priors.reshape(-1, n).T[:, :, None]  # (section, block, 1)
+    blocks = half.shape[1]
+    # metrics[i] stacks alpha_i and beta_(n-i), each (blocks, states)
+    metrics = np.full((n, 2, blocks, states), -np.inf)
+    metrics[0, :, :, 0] = 0.0
+    sections = np.stack([np.arange(n), np.arange(n)[::-1]], axis=1)  # step i's (forward, backward) section
+    steps = half[sections]  # (step, direction, block, 1)
+    flips = np.arange(states) ^ code.column_syndromes[:, None]  # state s, moved by a 1 at section t
+    # flat index into metrics: entry (i, d, b, s) reads metrics[i, d, b, flips[sections[i, d], s]]
+    rows = np.arange(n * 2 * blocks).reshape(n, 2, blocks, 1) * states
+    gather = rows + flips[sections][:, :, None, :]
+    flat = metrics.reshape(-1)
+    for i in range(n - 1):
+        h = steps[i]
+        np.logaddexp(metrics[i] + h, flat[gather[i]] - h, out=metrics[i + 1])
+        metrics[i + 1] -= metrics[i + 1].max(axis=-1, keepdims=True)
 
-    alpha = np.full((n + 1, *priors.shape[:-1], 2 * n), -np.inf)
-    alpha[0, ..., 0] = 0.0
-    for t in range(n):
-        half = 0.5 * priors[..., t, None]
-        flip = state_idx ^ syn[t]
-        stay = alpha[t] + half
-        move = (alpha[t] - half)[..., flip]
-        alpha[t + 1] = np.logaddexp(stay, move)
-        alpha[t + 1] -= _finite_peak(alpha[t + 1])
-
-    posterior = np.empty(priors.shape)
-    beta = np.full(alpha.shape[1:], -np.inf)
-    beta[..., 0] = 0.0
-    for t in range(n - 1, -1, -1):
-        half = 0.5 * priors[..., t, None]
-        flip = state_idx ^ syn[t]
-        num0 = _logsumexp(alpha[t] + half + beta)
-        num1 = _logsumexp(alpha[t] - half + beta[..., flip])
-        posterior[..., t] = num0 - num1
-        beta = np.logaddexp(beta + half, beta[..., flip] - half)
-        beta -= _finite_peak(beta)
-    return posterior
-
-
-def _finite_peak(values: np.ndarray) -> np.ndarray:
-    """Maximum over the last axis (kept), or 0 where that maximum is not finite."""
-    peak = values.max(axis=-1, keepdims=True)
-    return np.where(np.isfinite(peak), peak, 0.0)
+    # section t joins alpha_t with beta_(t+1), the backward metrics of step n - 1 - t
+    alpha, beta = metrics[:, 0], metrics[::-1, 1]
+    moved = flat[gather[::-1, 1]]
+    posterior = _logsumexp(alpha + half + beta) - _logsumexp(alpha - half + moved)
+    return posterior.T.reshape(priors.shape)
 
 
 def _logsumexp(values: np.ndarray) -> np.ndarray:
-    """peak + log sum exp(values - peak) over the last axis; -inf where the peak is not finite."""
+    """peak + log sum exp(values - peak) over the last axis."""
     peak = values.max(axis=-1)
-    finite = np.isfinite(peak)
-    shift = np.where(finite, peak, 0.0)
-    total = np.exp(values - shift[..., None]).sum(axis=-1)
-    return np.where(finite, shift + np.log(np.where(finite, total, 1.0)), -np.inf)
+    return peak + np.log(np.exp(values - peak[..., None]).sum(axis=-1))
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,32 @@ class TestBcjrDecode:
                 bcjr_decode(code, priors), map_bit_llrs(cws, priors), atol=1e-9
             )
 
+    def test_matches_exhaustive_map_at_large_priors(self):
+        # branch weights near exp(-300) per bit: a probability-domain recursion would underflow here
+        code = extended_hamming(4)
+        cws, _ = all_codewords(code)
+        rng = make_rng(4, "bcjr-large")
+        for _ in range(5):
+            priors = 300.0 * rng.standard_normal(code.n)
+            np.testing.assert_allclose(
+                bcjr_decode(code, priors), map_bit_llrs(cws, priors), rtol=0.0, atol=1e-9
+            )
+
+    def test_posteriors_are_pinned(self):
+        # sha256 of the posteriors on fixed-seed stacks, taken from the two-pass
+        # forward-backward the single sweep replaced: any change to its arithmetic moves it
+        chunks = []
+        for r in range(2, 6):
+            code = extended_hamming(r)
+            rng = make_rng(29, "bcjr-pin", r)
+            for scale in (0.1, 2.0, 30.0, 600.0):
+                priors = scale * rng.standard_normal((5, code.n))
+                priors[3] = (1.0 - 2.0 * code.encode(rng.integers(0, 2, size=code.k))) * scale
+                priors[4, : code.n // 2] = 0.0
+                chunks.append(bcjr_decode(code, priors).tobytes())
+        digest = hashlib.sha256(b"".join(chunks)).hexdigest()
+        assert digest == "268ff5a8e45f4a550f15ecfbbf6a7ea7b8701848bd41c8720b34880f3c2e733e"
+
     def test_probability_domain_oracle(self):
         # independent forward-backward with explicit probabilities
         code = extended_hamming(3)
@@ -191,6 +217,13 @@ class TestBcjrDecode:
         with pytest.raises(ValueError):
             bcjr_decode(extended_hamming(3), np.zeros((2, 7)))
 
+    @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+    def test_rejects_non_finite_priors(self, bad):
+        priors = np.zeros((2, 8))
+        priors[1, 5] = bad
+        with pytest.raises(ValueError, match="^prior LLRs must be finite$"):
+            bcjr_decode(extended_hamming(3), priors)
+
     def test_stack_equals_block_by_block(self):
         # one pass over a stack of blocks does each block's arithmetic exactly
         code = extended_hamming(4)
@@ -201,6 +234,8 @@ class TestBcjrDecode:
         priors[6] = 0.0
         stacked = bcjr_decode(code, priors)
         assert np.array_equal(stacked, np.array([bcjr_decode(code, row) for row in priors]))
+        cube = priors[:6].reshape(2, 3, code.n)
+        assert np.array_equal(bcjr_decode(code, cube), stacked[:6].reshape(2, 3, code.n))
 
 
 def desk_system(seed=21):

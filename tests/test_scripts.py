@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import assortativity_study
 import bgmlab
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
@@ -36,3 +37,11 @@ def test_script_runs(script):
 
 def test_every_script_is_covered():
     assert sorted(CASES) == sorted(p.name for p in SCRIPTS.glob("*.py"))
+
+
+def test_assortativity_study_reports_a_target_without_a_graph(monkeypatch, capsys):
+    # the one edge of this 2x2 profile joins two degree-1 nodes: assortativity is
+    # undefined, so the build fails before it has a best graph
+    monkeypatch.setattr(sys, "argv", ["assortativity_study.py", "--k", "2", "--m", "2", "--rho", "0.5", "--targets", "0.3"])
+    assortativity_study.main()
+    assert "+0.30       none    unreached" in capsys.readouterr().out
