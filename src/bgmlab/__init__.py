@@ -1,6 +1,6 @@
 """Random systematic linear codes: sampling, analysis, decoding, experiments."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .channel import Bec, BpskAwgn, Bsc, capacity, llr, transmit  # noqa: F401
 from .decode import BpConfig, bp_decode, hard_decision  # noqa: F401

@@ -137,14 +137,29 @@ def sample_bgm(k: int, m: int, rho: float, seed: int) -> SystematicCode:
 
 
 def sample_fixed_row_weight(k: int, m: int, w: int, seed: int) -> SystematicCode:
-    """Draw a systematic code whose G rows each have exactly w ones."""
+    """Draw a systematic code whose G rows each have exactly w ones.
+
+    Each row is a uniform w-subset of the m columns, drawn by Floyd's
+    algorithm (Bentley & Floyd, CACM 30(9), 1987) on all k rows at once:
+    step i draws t uniform in [0, j] with j = m - w + i, and a row that
+    already holds t takes j instead.
+    """
     if k <= 0 or m <= 0:
         raise ValueError("k and m must be positive")
     if not 0 <= w <= m:
         raise ValueError(f"row weight {w} outside [0, {m}]")
     rng = make_rng(seed, "fixed-row-weight-sample")
-    supports = [np.sort(rng.choice(m, size=w, replace=False)) for _ in range(k)]
-    g = BitMatrix(k, m, supports)
+    rows = np.arange(k)
+    taken = np.zeros((k, m), dtype=bool)
+    picks = np.empty((k, w), dtype=np.int64)
+    for i, j in enumerate(range(m - w, m)):
+        t = rng.integers(0, j + 1, size=k)
+        t = np.where(taken[rows, t], j, t)
+        taken[rows, t] = True
+        picks[:, i] = t
+    picks.sort(axis=1)
+    edges = np.column_stack([np.repeat(rows, w), picks.reshape(-1)])
+    g = BitMatrix._from_edges(k, m, edges)
     return SystematicCode(
         k, m, g, meta={"construction": "fixed-row-weight", "w": w, "seed": seed}
     )

@@ -104,7 +104,7 @@ class TestBpDecode:
                     digest.update(out.posterior.tobytes())
                     digest.update(out.hard_decision.tobytes())
                     digest.update(bytes([out.converged, out.iterations_used]))
-        assert digest.hexdigest() == "14a62499630dd1bb1a280a550ad9d65e892aa0545232c7e99bbce1b97d04cfb5"
+        assert digest.hexdigest() == "813c3fcb581f56d4906ad5ec8b21c66496b0df35211a4131e5fbbc200bfe425d"
 
     def test_low_noise_decodes_reliably(self):
         code = sample_bgm(64, 64, 0.05, seed=9)

@@ -110,8 +110,9 @@ class TestSampleBgm:
 
 class TestFixedRowWeight:
     def test_full_weight_gives_all_ones(self):
-        code = sample_fixed_row_weight(5, 6, 6, seed=0)
-        assert np.all(code.g.to_dense() == 1)
+        for k, m in ((5, 6), (1024, 1024)):
+            code = sample_fixed_row_weight(k, m, m, seed=0)
+            assert np.all(code.g.to_dense() == 1)
 
     def test_exact_row_weights_at_scale(self):
         code = sample_fixed_row_weight(1024, 1024, 8, seed=3)
@@ -150,6 +151,24 @@ class TestFixedRowWeight:
         exp_binned *= obs_binned.sum() / exp_binned.sum()
         _, pvalue = stats.chisquare(obs_binned, exp_binned)
         assert pvalue > 1e-3
+
+    def test_every_subset_is_equally_likely(self):
+        # each row is a uniform 2-subset of 5 columns: C(5, 2) = 10 outcomes
+        k, m = 60000, 5
+        dense = sample_fixed_row_weight(k, m, 2, seed=0).g.to_dense()
+        subset = dense @ (1 << np.arange(m))
+        outcomes = [(1 << a) | (1 << b) for a in range(m) for b in range(a + 1, m)]
+        counts = np.array([np.count_nonzero(subset == s) for s in outcomes])
+        assert counts.sum() == k
+        _, pvalue = stats.chisquare(counts)
+        assert pvalue > 1e-3
+
+    @pytest.mark.parametrize("w", [0, 1, 15, 16])
+    def test_rows_hold_w_distinct_sorted_columns(self, w):
+        code = sample_fixed_row_weight(40, 16, w, seed=4)
+        for support in code.g.row_supports:
+            assert support.size == w
+            assert np.all(np.diff(support) > 0)
 
 
 class TestEncode:
