@@ -20,7 +20,6 @@ __all__ = [
     "ber_lower_bound",
     "greedy_orthogonal_list",
     "fer_lower_bound",
-    "fer_lower_bound_approx",
 ]
 
 
@@ -70,13 +69,5 @@ def fer_lower_bound(code: SystematicCode, sigma: float) -> float:
     _check_sigma(sigma)
     rows = greedy_orthogonal_list(code)
     w = code.row_weights[rows].astype(np.float64)
-    q = qfunc(np.sqrt(w) / sigma)
-    return float(1.0 - np.prod(1.0 - q))
-
-
-def fer_lower_bound_approx(code: SystematicCode, sigma: float) -> float:
-    """Same product form taken over all k rows, ignoring support overlap."""
-    _check_sigma(sigma)
-    w = code.row_weights.astype(np.float64)
     q = qfunc(np.sqrt(w) / sigma)
     return float(1.0 - np.prod(1.0 - q))

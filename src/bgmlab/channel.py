@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import roots_hermite
 
 from .ensemble import rho_omega
@@ -227,8 +226,10 @@ def partial_error_exponent(ch: Channel, p: float, rate: float) -> float:
     A coarse 32-point scan brackets the optimum, then a bounded scalar
     search refines gamma to 1e-8.  Never negative: gamma = 0 gives 0.
     """
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
+    if not 0.0 <= rate < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"rate must be finite and non-negative, got {rate}")
+    # scipy.optimize takes about 0.2 s and 22 MB to import, and only `exponent` and `threshold` need it
+    from scipy.optimize import minimize_scalar
 
     def objective(g: float) -> float:
         return e0(ch, p, g) - g * rate
@@ -264,6 +265,7 @@ def ldpc_threshold_bound(dc: int, dr: int) -> float:
     """
     if dc < 1 or dr < 2:
         raise ValueError(f"need dc >= 1 and dr >= 2, got ({dc}, {dr})")
+    from scipy.optimize import brentq  # imported here for the reason given in partial_error_exponent
 
     def gap(p: float) -> float:
         return dc * binary_entropy(rho_omega(p, dr)) - dr * binary_entropy(p)

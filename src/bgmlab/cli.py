@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .bounds import ber_lower_bound, fer_lower_bound, fer_lower_bound_approx
+from .bounds import ber_lower_bound, fer_lower_bound
 from .channel import (
     capacity,
     channel_from_config,
@@ -109,7 +109,6 @@ def _cmd_bounds(args) -> int:
         raise ValueError("bounds need a systematic code")
     print(f"ber_lower_bound: {ber_lower_bound(code, args.sigma):.6e}")
     print(f"fer_lower_bound: {fer_lower_bound(code, args.sigma):.6e}")
-    print(f"fer_lower_bound_approx: {fer_lower_bound_approx(code, args.sigma):.6e}")
     return 0
 
 
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true", help="write real wall time to the CSV")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("bounds", help="union-style error floor bounds for a saved code")
+    p = sub.add_parser("bounds", help="certified error-floor lower bounds for a saved code")
     p.add_argument("--code", required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.set_defaults(func=_cmd_bounds)

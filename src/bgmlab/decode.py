@@ -3,9 +3,8 @@
 The workhorse is flooding sum-product BP on the code's normal graph: one
 variable node per message bit, one check node per parity position.  The
 parity observation enters each check as a degree-1 attachment, so its LLR
-is folded straight into the check update.  Exhaustive MLD, the repetition
-decision rule, and two-step list-coset decoding serve as small-scale
-oracles and references.
+is folded straight into the check update.  Exhaustive MLD is the
+small-scale oracle that BP is checked against.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2 import BitMatrix, mat_vec_mul
-from .ensemble import SystematicCode, encode
+from .gf2 import mat_vec_mul
+from .ensemble import SystematicCode
 
 __all__ = [
     "BpConfig",
@@ -24,8 +23,6 @@ __all__ = [
     "BpGraph",
     "bp_decode",
     "mld_exhaustive",
-    "repetition_decision",
-    "list_coset_decode",
 ]
 
 _ATANH_LIMIT = 1.0 - 1e-14  # keeps arctanh finite after product rounding
@@ -60,8 +57,6 @@ class BpGraph:
 
     def __init__(self, code: SystematicCode):
         self.code = code
-        self.k = code.k
-        self.m = code.m
         self.edge_var = code.g.edges[:, 0]
         self.edge_chk = code.g.edges[:, 1]
         self.n_edges = code.g.nnz()
@@ -173,10 +168,8 @@ def bp_decode(
     )
 
 
-def _codebook(k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+def _codebook(k: int, start: int, stop: int) -> np.ndarray:
     """Messages start..stop as rows in lexicographic order (u_0 leftmost)."""
-    if stop is None:
-        stop = 2**k
     idx = np.arange(start, stop, dtype=np.uint32)
     shifts = np.arange(k - 1, -1, -1, dtype=np.uint32)
     return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
@@ -211,62 +204,3 @@ def mld_exhaustive(code: SystematicCode, llrs) -> np.ndarray:
             best_score = float(scores[local])
             best_idx = start + local
     return _codebook(code.k, best_idx, best_idx + 1)[0]
-
-
-def repetition_decision(llrs) -> int:
-    """Decide the bit behind repeated observations: 0 iff the LLR sum is positive."""
-    total = float(np.sum(np.asarray(llrs, dtype=np.float64)))
-    return 0 if total > 0.0 else 1
-
-
-def list_coset_decode(
-    a_matrix: BitMatrix,
-    code: SystematicCode,
-    v_llr,
-    parity_llr,
-) -> np.ndarray:
-    """Two-step list decoding through the coset partition {u : u @ A = z}.
-
-    Step 1 keeps the systematically most likely member of each coset of the
-    auxiliary map A (k x m_tilde).  Step 2 picks the list member whose
-    parity word u @ G best explains parity_llr.  Ties at either step break
-    to the lexicographically smallest message.
-    """
-    k = code.k
-    if a_matrix.rows != k:
-        raise ValueError(f"A has {a_matrix.rows} rows, expected k={k}")
-    if k > 20:
-        raise ValueError(f"list-coset decoding enumerates 2^k messages; k={k} > 20")
-    m_tilde = a_matrix.cols
-    v_llr = np.asarray(v_llr, dtype=np.float64)
-    parity_llr = np.asarray(parity_llr, dtype=np.float64)
-    if v_llr.shape != (k,):
-        raise ValueError("v_llr length must equal k")
-    if parity_llr.shape != (code.m,):
-        raise ValueError("parity_llr length must equal m")
-
-    msgs = _codebook(k)
-    z = (msgs @ a_matrix.to_dense()) & 1
-    if m_tilde:
-        z_keys = z @ (1 << np.arange(m_tilde - 1, -1, -1, dtype=np.int64))
-    else:
-        z_keys = np.zeros(2**k, dtype=np.int64)
-    sys_scores = (1.0 - 2.0 * msgs) @ v_llr
-
-    # group by coset; message order is lexicographic, so the first index
-    # attaining a group's max score is the lowest-lex tiebreak
-    order = np.argsort(z_keys, kind="stable")
-    sorted_keys = z_keys[order]
-    starts = np.flatnonzero(np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]]))
-    group_max = np.maximum.reduceat(sys_scores[order], starts)
-    bounds = np.concatenate([starts, [order.size]])
-    n = order.size
-    is_max = sys_scores[order] == np.repeat(group_max, np.diff(bounds))
-    first_pos = np.minimum.reduceat(np.where(is_max, np.arange(n), n), starts)
-    reps = order[first_pos]
-
-    list_idx = np.sort(reps.astype(np.int64))
-    parity = (msgs[list_idx] @ code.g.to_dense()) & 1
-    par_scores = (1.0 - 2.0 * parity) @ parity_llr
-    winner = list_idx[int(np.argmax(par_scores))]
-    return msgs[winner].copy()

@@ -102,12 +102,14 @@ _DRAW_BATCH = 4096
 def _checked_sequences(d1, d2) -> tuple[np.ndarray, np.ndarray]:
     d1 = np.asarray(d1, dtype=np.int64)
     d2 = np.asarray(d2, dtype=np.int64)
+    if d1.size == 0 or d2.size == 0:
+        raise ValueError("degree sequences must be non-empty")
     if d1.min() < 0 or d2.min() < 0:
         raise ValueError("degrees must be non-negative")
     if d1.sum() != d2.sum():
         raise ValueError(f"stub mismatch: sum(d1)={d1.sum()} != sum(d2)={d2.sum()}")
     if d1.sum() == 0:
-        raise ValueError("empty degree sequences")
+        raise ValueError("degree sequences have no edges")
     return d1, d2
 
 
@@ -195,8 +197,11 @@ def configuration_model(
     returned; otherwise GraphGenerationError carries the final graph, which
     is the best one because the search is monotone in |S - S*|.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    # NaN fails every comparison, so these refuse it too
+    if not -1.0 <= r_star <= 1.0:
+        raise ValueError(f"r_star must lie in [-1, 1], got {r_star}")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     d1, d2, v, c = _pair_stubs(d1, d2, seed)
     n_var, n_chk = d1.size, d2.size
     x, _ = _edge_end_degrees(BipartiteGraph(n_var, n_chk, np.column_stack([v, c])))

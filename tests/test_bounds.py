@@ -7,7 +7,6 @@ import pytest
 from bgmlab.bounds import (
     ber_lower_bound,
     fer_lower_bound,
-    fer_lower_bound_approx,
     greedy_orthogonal_list,
     qfunc,
 )
@@ -55,7 +54,7 @@ class TestBerLowerBound:
     def test_rejects_bad_sigma(self):
         code = sample_bgm(4, 4, 0.25, seed=0)
         for sigma in (0.0, float("nan"), float("inf")):
-            for bound in (ber_lower_bound, fer_lower_bound, fer_lower_bound_approx):
+            for bound in (ber_lower_bound, fer_lower_bound):
                 with pytest.raises(ValueError, match="^sigma must be finite and positive"):
                     bound(code, sigma)
 
@@ -108,29 +107,6 @@ class TestFerLowerBound:
             assert fer_lower_bound(code, sigma) >= float(
                 qfunc(np.sqrt(w_min) / sigma)
             )
-
-    def test_approx_dominates_certified(self):
-        for seed in range(5):
-            code = sample_bgm(12, 12, 0.3, seed=seed)
-            for sigma in (0.4, 0.9, 1.5):
-                assert fer_lower_bound_approx(code, sigma) >= fer_lower_bound(
-                    code, sigma
-                )
-
-    def test_zero_generator_approx_equals_certified(self):
-        code = zero_generator_code(7, 2)
-        assert fer_lower_bound_approx(code, 0.9) == fer_lower_bound(code, 0.9)
-
-    def test_floor_region_agreement_at_scale(self):
-        # sparse rows rarely overlap, so dropping the disjointness
-        # requirement moves the product only a little
-        code = sample_bgm(1024, 1024, 0.0078, seed=7)
-        sigma = 0.4
-        approx = fer_lower_bound_approx(code, sigma)
-        certified = fer_lower_bound(code, sigma)
-        assert approx < 1e-3
-        assert approx >= certified
-        assert abs(approx - certified) / approx < 0.05
 
 
 class TestBoundsAgainstMldOracle:

@@ -236,8 +236,9 @@ class TestPartialErrorExponent:
             assert all(a >= b - 1e-10 for a, b in zip(vals, vals[1:]))
 
     def test_rejects_negative_rate(self):
-        with pytest.raises(ValueError):
-            partial_error_exponent(Bsc(0.1), 0.5, -0.1)
+        for rate in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="^rate must be finite and non-negative"):
+                partial_error_exponent(Bsc(0.1), 0.5, rate)
 
 
 class TestThresholdBound:

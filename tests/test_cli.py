@@ -37,8 +37,10 @@ class TestBounds:
         assert code == 0
         lines = dict(line.split(": ") for line in out.strip().splitlines())
         q = float(qfunc(1.0 / 0.8))
+        assert lines.keys() == {"ber_lower_bound", "fer_lower_bound"}
         assert float(lines["ber_lower_bound"]) == pytest.approx(q, rel=1e-5)
-        assert lines["fer_lower_bound"] == lines["fer_lower_bound_approx"]
+        # the four rows have disjoint (empty) G supports, so all enter the certified product
+        assert float(lines["fer_lower_bound"]) == pytest.approx(1.0 - (1.0 - q) ** 4, rel=1e-5)
 
     @pytest.mark.parametrize("sigma", ("nan", "inf", "0"))
     def test_sigma_must_be_finite_and_positive(self, capsys, tmp_path, sigma):
@@ -278,6 +280,21 @@ class TestGraphgen:
         assert code == 1
         assert "graph generation failed" in err
 
+    @pytest.mark.parametrize("flag", ("--r-star", "--epsilon"))
+    def test_nan_target_exits_two_without_output(self, capsys, tmp_path, flag):
+        (tmp_path / "var.txt").write_text("\n".join(["2"] * 20 + ["4"] * 20))
+        (tmp_path / "chk.txt").write_text("\n".join(["3"] * 20 + ["6"] * 10))
+        target = {"--r-star": "0.0", "--epsilon": "0.3", flag: "nan"}
+        out = tmp_path / "g.txt"
+        code, stdout, err = run_cli(
+            capsys, "graphgen", "--var-degrees", str(tmp_path / "var.txt"),
+            "--chk-degrees", str(tmp_path / "chk.txt"), "--r-star", target["--r-star"],
+            "--epsilon", target["--epsilon"], "--seed", "0", "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestPopdynCommand:
     def test_emits_csv_rows(self, capsys):
@@ -411,6 +428,12 @@ class TestExponentCommand:
             assert (code, out) == (2, "")
             assert err == f"error: sigma must be finite and positive, got {float(param)}\n"
 
+    @pytest.mark.parametrize("rate", ("nan", "inf"))
+    def test_rate_must_be_finite(self, capsys, rate):
+        code, out, err = run_cli(capsys, "exponent", "--channel", "bsc", "--param", "0.11", "--p", "0.5", "--rate", rate)
+        assert (code, out) == (2, "")
+        assert err == f"error: rate must be finite and non-negative, got {float(rate)}\n"
+
 
 class TestIowefCommand:
     def test_rows_match_library(self, capsys):
@@ -439,7 +462,12 @@ class TestParserEdges:
         assert __version__ in proc.stdout
 
     def test_import_leaves_scipy_stats_out(self):
-        # scipy.stats takes most of a second to import, and no subcommand needs it
+        # scipy.stats and scipy.optimize are slow to import; only `exponent` and
+        # `threshold` need scipy.optimize, and import it when they run
         env = {**os.environ, "PYTHONPATH": str(Path(bgmlab.__file__).parents[1])}
-        code = "import sys, bgmlab.cli; sys.exit('scipy.stats' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        code = (
+            "import sys, bgmlab.sim, bgmlab.concat, bgmlab.graph, bgmlab.popdyn, bgmlab.cli; "
+            "sys.exit(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules) or None)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")

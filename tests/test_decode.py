@@ -4,17 +4,14 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from bgmlab.channel import BpskAwgn, Bsc, llr, transmit
+from bgmlab.channel import BpskAwgn, llr, transmit
 from bgmlab.decode import (
     BpConfig,
     BpGraph,
     bp_decode,
     hard_decision,
-    list_coset_decode,
     mld_exhaustive,
-    repetition_decision,
 )
 from bgmlab.ensemble import SystematicCode, encode, sample_bgm, sample_fixed_row_weight
 from bgmlab.gf2 import BitMatrix
@@ -234,90 +231,3 @@ class TestMldExhaustive:
         diffs = np.array(diffs, dtype=np.float64)
         se = diffs.std(ddof=1) / np.sqrt(diffs.size)
         assert diffs.mean() <= 3.0 * max(se, 1e-12)
-
-
-class TestRepetitionDecision:
-    def test_rule_and_tie(self):
-        assert repetition_decision([0.5, 2.0, 1.0]) == 0
-        assert repetition_decision([-1.0, -0.2]) == 1
-        assert repetition_decision([1.5, -1.5]) == 1
-
-    def test_awgn_error_rate_matches_q_function(self):
-        # eight looks at the same bit through sigma=1 noise err at rate
-        # Q(sqrt(8)); check the Monte Carlo against the closed form
-        sigma, reps, trials = 1.0, 8, 300_000
-        ch = BpskAwgn(sigma)
-        rng = make_rng(21, "repetition-mc")
-        y = 1.0 + sigma * rng.standard_normal((trials, reps))
-        llrs = 2.0 * y / ch.sigma2
-        for row in llrs[:50]:
-            assert repetition_decision(row) == int(row.sum() <= 0.0)
-        errors = np.count_nonzero(llrs.sum(axis=1) <= 0.0)
-        p = stats.norm.sf(np.sqrt(reps) / sigma)
-        se = np.sqrt(p * (1 - p) / trials)
-        assert abs(errors / trials - p) <= 3.0 * se
-
-
-class TestListCosetDecode:
-    def test_noiseless_systematic_part_wins(self):
-        code = sample_bgm(10, 8, 0.25, seed=17)
-        a_matrix = sample_bgm(10, 4, 0.5, seed=18).g
-        u = make_rng(19, "msg").integers(0, 2, size=10).astype(np.uint8)
-        v_llr = 20.0 * (1.0 - 2.0 * u)
-        parity_llr = 4.0 * (1.0 - 2.0 * np.asarray(
-            (u @ code.g.to_dense()) & 1, dtype=np.float64))
-        assert np.array_equal(list_coset_decode(a_matrix, code, v_llr, parity_llr), u)
-
-    def test_full_width_map_degenerates_to_parity_selection(self):
-        # invertible A makes every coset a singleton: the list is all of
-        # F_2^k and the parity score alone picks the winner
-        k = 6
-        code = sample_bgm(k, 8, 0.3, seed=20)
-        identity = BitMatrix(k, k, [[i] for i in range(k)])
-        rng = make_rng(22, "full-width")
-        v_llr = rng.normal(size=k)
-        parity_llr = rng.normal(size=8)
-        got = list_coset_decode(identity, code, v_llr, parity_llr)
-        msgs = all_messages(k)
-        scores = (1.0 - 2.0 * ((msgs @ code.g.to_dense()) & 1)) @ parity_llr
-        assert np.array_equal(got, msgs[int(np.argmax(scores))])
-
-    def test_suboptimal_against_joint_mld(self):
-        code = sample_bgm(12, 12, 0.25, seed=23)
-        a_matrix = sample_bgm(12, 6, 0.5, seed=24).g
-        ch_sys = Bsc(0.05)
-        ch_par = BpskAwgn(0.8)
-        rng = make_rng(25, "lcda-paired")
-        diffs = []
-        for trial in range(1500):
-            u = rng.integers(0, 2, size=12).astype(np.uint8)
-            cw = encode(code, u)
-            v_llr = llr(ch_sys, transmit(ch_sys, cw[:12], rng))
-            parity_llr = llr(ch_par, transmit(ch_par, cw[12:], rng))
-            lcda = list_coset_decode(a_matrix, code, v_llr, parity_llr)
-            joint = mld_exhaustive(code, np.concatenate([v_llr, parity_llr]))
-            diffs.append(
-                int(not np.array_equal(lcda, u)) - int(not np.array_equal(joint, u))
-            )
-        diffs = np.array(diffs, dtype=np.float64)
-        se = diffs.std(ddof=1) / np.sqrt(diffs.size)
-        # the list decoder may only be worse, up to statistical resolution
-        assert diffs.mean() >= -3.0 * max(se, 1e-12)
-
-    def test_size_and_shape_guards(self):
-        code = sample_bgm(21, 4, 0.2, seed=1)
-        with pytest.raises(ValueError):
-            list_coset_decode(
-                BitMatrix(21, 2, [[] for _ in range(21)]),
-                code,
-                np.zeros(21),
-                np.zeros(4),
-            )
-        small = sample_bgm(6, 4, 0.2, seed=1)
-        with pytest.raises(ValueError):
-            list_coset_decode(
-                BitMatrix(5, 2, [[] for _ in range(5)]),
-                small,
-                np.zeros(6),
-                np.zeros(4),
-            )

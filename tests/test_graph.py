@@ -28,6 +28,14 @@ def binomial_profile(n, p, seed, tag="prof"):
     return np.maximum(make_rng(seed, tag).binomial(n, p, size=n), 1)
 
 
+@pytest.fixture
+def no_sampling(monkeypatch):
+    def refuse(*key):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr("bgmlab.graph.make_rng", refuse)
+
+
 def criterion6_profiles():
     g = sample_bgm(1024, 1024, 0.01, seed=5).g
     return g.row_weights(), g.col_weights()
@@ -167,11 +175,7 @@ class TestAssortativity:
 
 
 class TestSampleNeutralGraph:
-    def test_infeasible_sequences_rejected_before_sampling(self, monkeypatch):
-        def no_sampling(*key):
-            raise AssertionError("sampling started")
-
-        monkeypatch.setattr("bgmlab.graph.make_rng", no_sampling)
+    def test_infeasible_sequences_rejected_before_sampling(self, no_sampling):
         # a degree-3 variable needs three distinct checks; only two exist
         with pytest.raises(GraphGenerationError):
             sample_neutral_graph([3, 1], [2, 2])
@@ -216,6 +220,20 @@ class TestConfigurationModel:
     def test_stub_imbalance_rejected(self):
         with pytest.raises(ValueError):
             configuration_model([2, 2], [3], r_star=-0.2, epsilon=0.1)
+
+    @pytest.mark.parametrize("d1, d2, r_star, epsilon, message", (
+        ([], [], -0.2, 0.1, "non-empty"),
+        ([2, 2], [], -0.2, 0.1, "non-empty"),
+        ([2, 2], [2, 1, 1], float("nan"), 0.1, "r_star"),
+        ([2, 2], [2, 1, 1], 1.5, 0.1, "r_star"),
+        ([2, 2], [2, 1, 1], -float("inf"), 0.1, "r_star"),
+        ([2, 2], [2, 1, 1], -0.2, float("nan"), "epsilon"),
+        ([2, 2], [2, 1, 1], -0.2, float("inf"), "epsilon"),
+        ([2, 2], [2, 1, 1], -0.2, 0.0, "epsilon"),
+    ))
+    def test_bad_input_rejected_before_sampling(self, no_sampling, d1, d2, r_star, epsilon, message):
+        with pytest.raises(ValueError, match=message):
+            configuration_model(d1, d2, r_star=r_star, epsilon=epsilon)
 
     def test_equal_degrees_everywhere_rejected(self):
         # r is undefined (NaN) when every node has the same degree
