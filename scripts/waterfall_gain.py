@@ -50,7 +50,7 @@ def waterfalls(graphs, grid=GRID, min_frame_errors=60, max_frames=2500, workers=
     with tempfile.TemporaryDirectory() as tmp:
         for name, graph in graphs.items():
             path = Path(tmp) / f"{name}.npz"
-            save_code(SystematicCode(graph.n_var, graph.n_chk, graph), path)
+            save_code(SystematicCode(graph), path)
             cfg = SimConfig(
                 code={"construction": "graph-file", "path": str(path)},
                 channel={"type": "awgn"},

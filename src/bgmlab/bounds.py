@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erfc
 
+from .channel import BpskAwgn
 from .ensemble import SystematicCode
 
 __all__ = [
@@ -28,14 +29,9 @@ def qfunc(x) -> np.ndarray | float:
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
-def _check_sigma(sigma: float) -> None:
-    if not 0.0 < sigma < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
-
-
 def ber_lower_bound(code: SystematicCode, sigma: float) -> float:
     """(1/k) sum_i Q(sqrt(omega_i) / sigma) over the k rows of [I | G]."""
-    _check_sigma(sigma)
+    BpskAwgn(sigma)  # refuses a sigma that is not finite and positive
     w = code.row_weights.astype(np.float64)
     return float(np.mean(qfunc(np.sqrt(w) / sigma)))
 
@@ -66,7 +62,7 @@ def fer_lower_bound(code: SystematicCode, sigma: float) -> float:
     Independence of the per-row error events is guaranteed by support
     disjointness, which makes the bound certified rather than approximate.
     """
-    _check_sigma(sigma)
+    BpskAwgn(sigma)
     rows = greedy_orthogonal_list(code)
     w = code.row_weights[rows].astype(np.float64)
     q = qfunc(np.sqrt(w) / sigma)

@@ -125,8 +125,10 @@ def _cmd_iowef(args) -> int:
 def _cmd_exponent(args) -> int:
     ch = channel_from_config({"type": args.channel, "param": args.param})
     if args.rate is None:
-        print(f"capacity_bits: {capacity(ch):.8f}")
-        print(f"partial_mi_bits: {partial_mutual_information(ch, args.p):.8f}")
+        # both values first, so that a refusal prints neither
+        cap, mi = capacity(ch), partial_mutual_information(ch, args.p)
+        print(f"capacity_bits: {cap:.8f}")
+        print(f"partial_mi_bits: {mi:.8f}")
     else:
         e = partial_error_exponent(ch, args.p, args.rate)
         print(f"exponent_bits: {e:.8f}")
@@ -138,10 +140,18 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
+def _degrees(path) -> np.ndarray:
+    """The degrees in a text file, one per line; '#' starts a comment."""
+    with open(path) as fh:
+        tokens = [t for line in fh for t in line.split("#", 1)[0].split()]
+    if not tokens or not all(t.isdecimal() for t in tokens):
+        raise ValueError(f"{path}: expected one non-negative integer degree per line")
+    return np.array([int(t) for t in tokens], dtype=np.int64)
+
+
 def _cmd_graphgen(args) -> int:
+    d1, d2 = _degrees(args.var_degrees), _degrees(args.chk_degrees)
     seed = _resolve_seed(args)
-    d1 = np.loadtxt(args.var_degrees, dtype=np.int64, ndmin=1)
-    d2 = np.loadtxt(args.chk_degrees, dtype=np.int64, ndmin=1)
     try:
         built = configuration_model(
             d1, d2, args.r_star, epsilon=args.epsilon, seed=seed
@@ -157,7 +167,7 @@ def _cmd_graphgen(args) -> int:
         "d1_hash": _digest(d1),
         "d2_hash": _digest(d2),
     }
-    save_code(SystematicCode(g.n_var, g.n_chk, g, meta=meta), args.out)
+    save_code(SystematicCode(g, meta=meta), args.out)
     print(f"r_measured={built.r_measured:.4f} swaps={built.swaps}")
     print(f"wrote {args.out} and {args.out}.json")
     return 0

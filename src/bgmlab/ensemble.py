@@ -52,29 +52,22 @@ def rho_omega(rho: float, omega: int) -> float:
 
 @dataclass(eq=False)
 class SystematicCode:
-    """Code with generator [I | G]; G is k x m and sparse."""
+    """Code with generator [I | G]; k x m is the shape of the sparse G."""
 
-    k: int
-    m: int
     g: BitMatrix
     meta: dict = field(default_factory=dict)
+    k: int = field(init=False)
+    m: int = field(init=False)
     row_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.g.rows != self.k or self.g.cols != self.m:
-            raise ValueError(
-                f"G has shape {self.g.rows}x{self.g.cols}, expected {self.k}x{self.m}"
-            )
+        self.k, self.m = self.g.rows, self.g.cols
         # weight of row i of [I | G]; the identity contributes the +1
         self.row_weights = 1 + self.g.row_weights()
 
     @property
     def rate(self) -> Fraction:
         return Fraction(self.k, self.k + self.m)
-
-    @property
-    def n(self) -> int:
-        return self.k + self.m
 
 
 def encode(code: SystematicCode, u) -> np.ndarray:
@@ -87,18 +80,15 @@ def encode(code: SystematicCode, u) -> np.ndarray:
 
 @dataclass(eq=False)
 class BpcCode:
-    """Parity-check code {u in F_2^k : u @ G = 0} with G of shape k x m."""
+    """Parity-check code {u in F_2^k : u @ G = 0}; k x m is the shape of G."""
 
-    k: int
-    m: int
     g: BitMatrix
     meta: dict = field(default_factory=dict)
+    k: int = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
-        if self.g.rows != self.k or self.g.cols != self.m:
-            raise ValueError(
-                f"G has shape {self.g.rows}x{self.g.cols}, expected {self.k}x{self.m}"
-            )
+        self.k, self.m = self.g.rows, self.g.cols
 
     @property
     def design_rate(self) -> Fraction:
@@ -122,18 +112,20 @@ def _sample_g(k: int, m: int, rho: float, seed: int) -> BitMatrix:
     if not 0.0 < rho <= 0.5:
         raise ValueError(f"rho must lie in (0, 1/2], got {rho}")
     rng = make_rng(seed, "bgm-sample")
-    supports = []
-    # one uniform draw per entry, row blocked to bound memory
-    for _ in range(k):
-        row = np.flatnonzero(rng.random(m) < rho).astype(np.int64)
-        supports.append(row)
-    return BitMatrix(k, m, supports)
+    # one uniform draw per entry, in row-major order, in blocks of about 2**18
+    # doubles (2 MB): rng.random((r, m)) draws what r calls of rng.random(m) do
+    step = max(1, (1 << 18) // m)
+    blocks = [
+        np.argwhere(rng.random((min(step, k - i), m)) < rho) + (i, 0)
+        for i in range(0, k, step)
+    ]
+    return BitMatrix(k, m, np.concatenate(blocks))
 
 
 def sample_bgm(k: int, m: int, rho: float, seed: int) -> SystematicCode:
     """Draw a systematic code with i.i.d. Bernoulli(rho) entries in G."""
     g = _sample_g(k, m, rho, seed)
-    return SystematicCode(k, m, g, meta={"construction": "bgm", "rho": rho, "seed": seed})
+    return SystematicCode(g, meta={"construction": "bgm", "rho": rho, "seed": seed})
 
 
 def sample_fixed_row_weight(k: int, m: int, w: int, seed: int) -> SystematicCode:
@@ -158,17 +150,14 @@ def sample_fixed_row_weight(k: int, m: int, w: int, seed: int) -> SystematicCode
         taken[rows, t] = True
         picks[:, i] = t
     picks.sort(axis=1)
-    edges = np.column_stack([np.repeat(rows, w), picks.reshape(-1)])
-    g = BitMatrix._from_edges(k, m, edges)
-    return SystematicCode(
-        k, m, g, meta={"construction": "fixed-row-weight", "w": w, "seed": seed}
-    )
+    g = BitMatrix(k, m, np.column_stack([np.repeat(rows, w), picks.reshape(-1)]))
+    return SystematicCode(g, meta={"construction": "fixed-row-weight", "w": w, "seed": seed})
 
 
 def sample_bpc(k: int, m: int, rho: float, seed: int) -> BpcCode:
     """Draw a parity-check code from the same Bernoulli(rho) matrix family."""
     g = _sample_g(k, m, rho, seed)
-    return BpcCode(k, m, g, meta={"construction": "bpc", "rho": rho, "seed": seed})
+    return BpcCode(g, meta={"construction": "bpc", "rho": rho, "seed": seed})
 
 
 def _log_binom(n: int, k_arr) -> np.ndarray:
@@ -277,5 +266,5 @@ def load_code(path) -> SystematicCode:
             )
     meta = {key: val for key, val in meta.items() if key not in ("k", "m")}
     if meta.get("construction") == "bpc":
-        return BpcCode(g.rows, g.cols, g, meta=meta)
-    return SystematicCode(g.rows, g.cols, g, meta=meta)
+        return BpcCode(g, meta=meta)
+    return SystematicCode(g, meta=meta)

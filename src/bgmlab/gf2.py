@@ -37,42 +37,31 @@ def bits_to_string(v) -> str:
 class BitMatrix:
     """Binary matrix stored as its ones: an (nnz, 2) array of (row, col) pairs.
 
-    The pairs are sorted row-major with no duplicates.  For a generator
+    The pairs may be given in any order; they are kept sorted row-major, and
+    a repeated pair or one outside rows x cols is refused.  For a generator
     matrix G they are also the edges (variable, check) of the code's normal
     graph, so every layer that reads G reads this one array.
     """
 
     __slots__ = ("rows", "cols", "edges")
 
-    def __init__(self, rows: int, cols: int, row_supports):
-        if len(row_supports) != rows:
-            raise ValueError(f"need {rows} row supports, got {len(row_supports)}")
-        supports = [np.asarray(s, dtype=np.int64).reshape(-1) for s in row_supports]
-        row = np.repeat(np.arange(rows, dtype=np.int64), [s.size for s in supports])
-        col = np.concatenate([np.empty(0, dtype=np.int64), *supports])
-        self._store(rows, cols, np.column_stack([row, col]))
-
-    def _store(self, rows: int, cols: int, edges: np.ndarray) -> None:
-        """Check an (nnz, 2) int64 array no caller holds, and keep it read-only."""
+    def __init__(self, rows: int, cols: int, edges):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if edges.size and (
-            edges.min() < 0
-            or edges[:, 0].max() >= rows
-            or edges[:, 1].max() >= cols
-            or np.any(np.diff(edges[:, 0] * cols + edges[:, 1]) <= 0)
-        ):
-            raise ValueError(f"entries must be unique, sorted row-major, inside {rows}x{cols}")
-        # column-major, so that the row and the column arrays are contiguous views
-        edges = np.asfortranarray(edges)
-        edges.flags.writeable = False
-        self.rows, self.cols, self.edges = rows, cols, edges
-
-    @classmethod
-    def _from_edges(cls, rows: int, cols: int, edges) -> "BitMatrix":
-        m = cls.__new__(cls)
-        m._store(rows, cols, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-        return m
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if edges.size and (edges.min() < 0 or np.any(edges.max(axis=0) >= (rows, cols))):
+            raise ValueError(f"entries must lie inside {rows}x{cols}")
+        key = edges[:, 0] * cols + edges[:, 1]
+        # sampled and loaded matrices arrive sorted and skip the sort
+        if np.any(np.diff(key) <= 0):
+            order = np.argsort(key)
+            edges = edges[order]
+            if np.any(np.diff(key[order]) == 0):
+                raise ValueError("entries must be unique")
+        # a column-major copy: the row and the column arrays are contiguous read-only views
+        self.edges = np.array(edges, order="F")
+        self.edges.flags.writeable = False
+        self.rows, self.cols = rows, cols
 
     @classmethod
     def from_dense(cls, a) -> "BitMatrix":
@@ -81,15 +70,7 @@ class BitMatrix:
             raise ValueError("expected a 2-D array")
         if a.size and a.max() > 1:
             raise ValueError("entries must be 0 or 1")
-        return cls._from_edges(a.shape[0], a.shape[1], np.argwhere(a))
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls._from_edges(n, n, np.column_stack([np.arange(n), np.arange(n)]))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls._from_edges(rows, cols, [])
+        return cls(a.shape[0], a.shape[1], np.argwhere(a))
 
     @property
     def row_supports(self) -> list[np.ndarray]:
@@ -136,17 +117,13 @@ def mat_vec_mul(m: BitMatrix, v) -> np.ndarray:
     return (np.bincount(selected, minlength=m.cols) & 1).astype(np.uint8)
 
 
-def _rows_as_ints(m: BitMatrix) -> list[int]:
-    out = [0] * m.rows
-    for i, j in m.edges.tolist():
-        out[i] |= 1 << j
-    return out
-
-
 def rank(m: BitMatrix) -> int:
     """GF(2) rank by elimination on word-packed rows."""
+    rows = [0] * m.rows
+    for i, j in m.edges.tolist():
+        rows[i] |= 1 << j
     pivots: dict[int, int] = {}
-    for r in _rows_as_ints(m):
+    for r in rows:
         while r:
             lead = r.bit_length() - 1
             if lead in pivots:
@@ -168,17 +145,22 @@ def save_matrix(m: BitMatrix, path) -> None:
 
 
 def load_matrix(path) -> BitMatrix:
+    """Read the text format; a row may list its columns in any order."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2:
+        if len(header) != 2 or not all(t.isdecimal() for t in header):
             raise ValueError(f"{path}: bad header, expected 'rows cols'")
         rows, cols = int(header[0]), int(header[1])
-        supports = []
+        edges = []
         for i in range(rows):
             line = fh.readline()
-            if line == "" and i < rows:
+            if line == "":
                 raise ValueError(f"{path}: truncated after {i} rows")
-            supports.append(np.array([int(t) for t in line.split()], dtype=np.int64))
+            tokens = line.split()
+            support = {int(t) for t in tokens if t.isdecimal() and int(t) < cols}
+            if len(support) < len(tokens):
+                raise ValueError(f"{path}: row {i} must list distinct column indices in [0, {cols})")
+            edges.extend((i, j) for j in sorted(support))
         if fh.read().strip():
             raise ValueError(f"{path}: data after the {rows} rows the header announces")
-    return BitMatrix(rows, cols, supports)
+    return BitMatrix(rows, cols, edges)

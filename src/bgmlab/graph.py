@@ -39,14 +39,10 @@ class BipartiteGraph(BitMatrix):
     """Simple bipartite graph: n_var left nodes, n_chk right nodes.
 
     It is its own generator matrix: row v of G holds the checks joined to
-    variable v.  The edges may be given in any order; they are kept sorted.
+    variable v.
     """
 
     __slots__ = ()
-
-    def __init__(self, n_var: int, n_chk: int, edges):
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        self._store(n_var, n_chk, e[np.lexsort((e[:, 1], e[:, 0]))])
 
     @property
     def n_var(self) -> int:
@@ -55,10 +51,6 @@ class BipartiteGraph(BitMatrix):
     @property
     def n_chk(self) -> int:
         return self.cols
-
-    @property
-    def m_edges(self) -> int:
-        return self.nnz()
 
 
 def _edge_end_degrees(g: BitMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from bgmlab.rng import make_rng
 
 
 def zero_generator_code(k, m):
-    return SystematicCode(k, m, BitMatrix(k, m, [[] for _ in range(k)]))
+    return SystematicCode(BitMatrix(k, m, []))
 
 
 class TestQfunc:
@@ -65,7 +65,7 @@ class TestGreedyOrthogonalList:
         assert greedy_orthogonal_list(code) == list(range(6))
 
     def test_shared_column_blocks_selection(self):
-        code = SystematicCode(2, 1, BitMatrix(2, 1, [[0], [0]]))
+        code = SystematicCode(BitMatrix(2, 1, [(0, 0), (1, 0)]))
         assert greedy_orthogonal_list(code) == [0]
 
     def test_matches_independent_greedy_replay(self):
@@ -94,7 +94,7 @@ class TestFerLowerBound:
 
     def test_collapsed_list_single_factor(self):
         # every G row hits the same column, so one weight-2 row survives
-        code = SystematicCode(3, 1, BitMatrix(3, 1, [[0], [0], [0]]))
+        code = SystematicCode(BitMatrix(3, 1, [(0, 0), (1, 0), (2, 0)]))
         assert fer_lower_bound(code, 1.1) == pytest.approx(
             float(qfunc(np.sqrt(2.0) / 1.1)), abs=1e-15
         )

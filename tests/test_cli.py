@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,7 @@ class TestThreshold:
 class TestBounds:
     def test_zero_generator_columns_collapse_to_q(self, capsys, tmp_path):
         path = str(tmp_path / "zero.npz")
-        save_code(SystematicCode(4, 2, BitMatrix(4, 2, [[], [], [], []])), path)
+        save_code(SystematicCode(BitMatrix(4, 2, [])), path)
         code, out, _ = run_cli(capsys, "bounds", "--code", path, "--sigma", "0.8")
         assert code == 0
         lines = dict(line.split(": ") for line in out.strip().splitlines())
@@ -45,7 +46,7 @@ class TestBounds:
     @pytest.mark.parametrize("sigma", ("nan", "inf", "0"))
     def test_sigma_must_be_finite_and_positive(self, capsys, tmp_path, sigma):
         path = str(tmp_path / "code.npz")
-        save_code(SystematicCode(4, 2, BitMatrix(4, 2, [[0], [1], [], []])), path)
+        save_code(SystematicCode(BitMatrix(4, 2, [(0, 0), (1, 1)])), path)
         code, out, err = run_cli(capsys, "bounds", "--code", path, "--sigma", sigma)
         assert (code, out) == (2, "")
         assert err == f"error: sigma must be finite and positive, got {float(sigma)}\n"
@@ -295,6 +296,21 @@ class TestGraphgen:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ("", "2\n2.5\n"))
+    def test_bad_degree_file_refused_in_one_line(self, capsys, tmp_path, text):
+        (tmp_path / "var.txt").write_text(text)
+        (tmp_path / "chk.txt").write_text("2\n2\n")
+        out = tmp_path / "g.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(
+                capsys, "graphgen", "--var-degrees", str(tmp_path / "var.txt"),
+                "--chk-degrees", str(tmp_path / "chk.txt"), "--r-star", "0.0", "--seed", "0", "--out", str(out),
+            )
+        reason = "expected one non-negative integer degree per line"
+        assert (code, stdout, err) == (2, "", f"error: {tmp_path / 'var.txt'}: {reason}\n")
+        assert not out.exists()
+
 
 class TestPopdynCommand:
     def test_emits_csv_rows(self, capsys):
@@ -433,6 +449,12 @@ class TestExponentCommand:
         code, out, err = run_cli(capsys, "exponent", "--channel", "bsc", "--param", "0.11", "--p", "0.5", "--rate", rate)
         assert (code, out) == (2, "")
         assert err == f"error: rate must be finite and non-negative, got {float(rate)}\n"
+
+    def test_refusal_prints_no_value(self, capsys):
+        # the capacity alone is valid, yet it must not reach stdout before --p is refused
+        code, out, err = run_cli(capsys, "exponent", "--channel", "bsc", "--param", "0.1", "--p", "nan")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestIowefCommand:

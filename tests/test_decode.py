@@ -63,7 +63,7 @@ class TestBpDecode:
         # path-shaped graph v0-c0-v1-c1-v2 has no cycles, so BP is exact.  The
         # last frames set systematic and parity LLRs to exactly 0, whose tanh
         # factors the check pass counts apart from its log-magnitude sums
-        code = SystematicCode(3, 2, BitMatrix(3, 2, [[0], [0, 1], [1]]))
+        code = SystematicCode(BitMatrix(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)]))
         rng = make_rng(7, "tree")
         ch = BpskAwgn(0.8)
         zero_sets = [[]] * 20 + [[0], [1], [3], [4], [1, 3], [0, 4], [1, 3, 4], [0, 1, 2, 3, 4]]
@@ -206,7 +206,7 @@ class TestMldExhaustive:
     def test_lexicographic_tiebreak(self):
         # a zero generator makes parity useless; with zero systematic LLRs
         # on bit 0, messages 01 and 11 tie and the lower one must win
-        code = SystematicCode(2, 1, BitMatrix(2, 1, [[], []]))
+        code = SystematicCode(BitMatrix(2, 1, []))
         assert np.array_equal(mld_exhaustive(code, np.zeros(3)), [0, 0])
         assert np.array_equal(
             mld_exhaustive(code, np.array([0.0, -1.0, 0.0])), [0, 1]

@@ -1,5 +1,6 @@
 """Ensemble sampling and weight enumerators against closed forms and Monte Carlo."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,18 @@ class TestSampleBgm:
         b = sample_bgm(32, 48, 0.1, seed=5)
         assert a.g == b.g
         assert sample_bgm(32, 48, 0.1, seed=6).g != a.g
+
+    @pytest.mark.parametrize("k, m, rho, seed, digest", (
+        (64, 64, 0.05, 3, "6200bb906f948a35"),
+        (513, 2000, 0.01, 1, "7ed4649359ce6247"),  # 513 rows are 3 blocks of 131 and one of 120
+        (2, 300000, 0.001, 7, "4de29243d0ab00ef"),  # each row is wider than a block
+        (3000, 1, 0.5, 2, "591ed9a40e2b7e4e"),
+    ))
+    def test_draw_is_pinned(self, k, m, rho, seed, digest):
+        # bgm and bpc read the same stream; the digests were taken when each
+        # row was drawn by its own rng.random(m) call
+        for code in (sample_bgm(k, m, rho, seed=seed), sample_bpc(k, m, rho, seed=seed)):
+            assert hashlib.sha256(code.g.edges.tobytes()).hexdigest()[:16] == digest
 
     def test_density_concentrates(self):
         k = m = 1024

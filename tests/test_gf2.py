@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,30 +72,43 @@ class TestBitMatrix:
         assert m.edges.tolist() == [[0, 0], [0, 2], [2, 0], [2, 1], [2, 2]]
 
     def test_identity(self):
-        assert np.array_equal(BitMatrix.identity(3).to_dense(), np.eye(3, dtype=np.uint8))
+        identity = BitMatrix(3, 3, [(i, i) for i in range(3)])
+        assert np.array_equal(identity.to_dense(), np.eye(3, dtype=np.uint8))
 
     def test_equality(self):
         d = np.array([[1, 0], [0, 1]], dtype=np.uint8)
         assert BitMatrix.from_dense(d) == BitMatrix.from_dense(d)
-        assert BitMatrix.from_dense(d) != BitMatrix.zero(2, 2)
+        assert BitMatrix.from_dense(d) != BitMatrix(2, 2, [])
 
     def test_out_of_range_support_rejected(self):
-        with pytest.raises(ValueError):
-            BitMatrix(1, 3, [[3]])
-        for unsorted_or_repeated in ([[2, 1]], [[1, 1]]):
-            with pytest.raises(ValueError):
-                BitMatrix(1, 3, unsorted_or_repeated)
+        for outside in ([(0, 3)], [(1, 0)], [(0, -1)]):
+            with pytest.raises(ValueError, match="inside 1x3"):
+                BitMatrix(1, 3, outside)
+        with pytest.raises(ValueError, match="unique"):
+            BitMatrix(1, 3, [(0, 1), (0, 1)])
+        # any order gives the same, sorted, matrix
+        shuffled = BitMatrix(2, 3, [(1, 0), (0, 2), (0, 1)])
+        assert shuffled == BitMatrix(2, 3, [(0, 1), (0, 2), (1, 0)])
+        assert shuffled.edges.tolist() == [[0, 1], [0, 2], [1, 0]]
+
+    def test_keeps_a_read_only_column_major_copy(self):
+        # already row-major, so the constructor's sort makes no copy of its own
+        given = np.array([[0, 2], [1, 0]], dtype=np.int64)
+        m = BitMatrix(2, 3, given)
+        given[0, 0] = 1
+        assert m.edges.tolist() == [[0, 2], [1, 0]]
+        assert m.edges.flags.f_contiguous and not m.edges.flags.writeable
 
 
 class TestMatVec:
     def test_hand_worked_product(self):
         # rows 1100, 0110, 0011 all selected: 1100 ^ 0110 ^ 0011 = 1001
-        g = BitMatrix(3, 4, [[0, 1], [1, 2], [2, 3]])
+        g = BitMatrix(3, 4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)])
         out = mat_vec_mul(g, np.array([1, 1, 1], dtype=np.uint8))
         assert bits_to_string(out) == "1001"
 
     def test_zero_vector(self):
-        g = BitMatrix(3, 5, [[0], [1, 2], [4]])
+        g = BitMatrix(3, 5, [(0, 0), (1, 1), (1, 2), (2, 4)])
         assert not mat_vec_mul(g, np.zeros(3, dtype=np.uint8)).any()
 
     def test_matches_dense_product_on_sparse_matrices(self):
@@ -109,7 +124,7 @@ class TestMatVec:
                 assert out.dtype == np.uint8
                 assert np.array_equal(out, (v @ a.to_dense()) & 1)
         for rows, cols in ((5, 9), (1, 1), (0, 4)):
-            zero = BitMatrix.zero(rows, cols)
+            zero = BitMatrix(rows, cols, [])
             assert np.array_equal(mat_vec_mul(zero, np.ones(rows, np.uint8)), np.zeros(cols, np.uint8))
 
     @given(dense_strategy(), st.data())
@@ -139,8 +154,8 @@ class TestMatVec:
 
 class TestRank:
     def test_known_ranks(self):
-        assert rank(BitMatrix.identity(5)) == 5
-        assert rank(BitMatrix.zero(4, 4)) == 0
+        assert rank(BitMatrix(5, 5, [(i, i) for i in range(5)])) == 5
+        assert rank(BitMatrix(4, 4, [])) == 0
         # two equal rows collapse
         d = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8)
         assert rank(BitMatrix.from_dense(d)) == 2
@@ -160,11 +175,24 @@ class TestSerialization:
         assert load_matrix(path) == m
 
     def test_zero_rows_survive(self, tmp_path):
-        m = BitMatrix.zero(3, 7)
+        m = BitMatrix(3, 7, [])
         path = tmp_path / "z.txt"
         save_matrix(m, path)
         back = load_matrix(path)
         assert back.rows == 3 and back.cols == 7 and back.nnz() == 0
+
+    def test_columns_in_any_order(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 4\n3 0\n\n")
+        assert load_matrix(path) == BitMatrix(2, 4, [(0, 0), (0, 3)])
+
+    @pytest.mark.parametrize("bad_row", ("0 x", "4", "1 1"))
+    def test_bad_row_named_with_its_file(self, tmp_path, bad_row):
+        # a token that is not an integer, a column out of range, a repeat
+        path = tmp_path / "m.txt"
+        path.write_text(f"2 4\n0 2\n{bad_row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 1 "):
+            load_matrix(path)
 
     def test_data_after_the_rows_rejected(self, tmp_path):
         path = tmp_path / "long.txt"

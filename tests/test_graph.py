@@ -54,7 +54,7 @@ class TestBipartiteGraph:
 
     def test_adjacency_and_degrees(self):
         g = BipartiteGraph(3, 2, [(0, 0), (0, 1), (2, 1)])
-        assert g.m_edges == 3
+        assert g.nnz() == 3
         assert np.array_equal(g.row_weights(), [2, 0, 1])
         assert np.array_equal(g.col_weights(), [1, 2])
         assert np.array_equal(g.row_supports[0], [0, 1])
@@ -185,7 +185,7 @@ class TestSampleNeutralGraph:
         # starts with parallel edges and the repair must keep all degrees
         for seed in range(20):
             g = sample_neutral_graph([4] * 4, [4] * 4, seed=seed)
-            assert g.m_edges == 16
+            assert g.nnz() == 16
             assert np.array_equal(g.row_weights(), [4] * 4)
             assert np.array_equal(g.col_weights(), [4] * 4)
 
@@ -299,5 +299,5 @@ class TestGeneratorConversion:
         assert BipartiteGraph(g.n_var, g.n_chk, shuffled) == g
 
     def test_matrix_round_trip(self):
-        mat = BitMatrix(3, 5, [[0, 4], [], [1, 2, 3]])
+        mat = BitMatrix(3, 5, [(0, 0), (0, 4), (2, 1), (2, 2), (2, 3)])
         assert BipartiteGraph(mat.rows, mat.cols, mat.edges[::-1]) == mat
