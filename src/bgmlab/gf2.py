@@ -48,7 +48,11 @@ class BitMatrix:
     def __init__(self, rows: int, cols: int, edges):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(edges)
+        # an empty list arrives as float64 and is kept
+        if edges.size and not np.issubdtype(edges.dtype, np.integer):
+            raise ValueError(f"entries must be integer positions, got {edges.dtype}")
+        edges = edges.astype(np.int64, copy=False).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or np.any(edges.max(axis=0) >= (rows, cols))):
             raise ValueError(f"entries must lie inside {rows}x{cols}")
         key = edges[:, 0] * cols + edges[:, 1]

@@ -35,6 +35,7 @@ __all__ = [
 
 _MIN_BUCKET = 100  # smallest population kept per degree, however rare the degree
 _MASS_TOL = 1e-9  # law_from_ensemble drops degrees with less probability
+_GUIDE = 4096  # guide-table buckets; a power of two keeps u * _GUIDE exact
 
 
 @dataclass(eq=False)
@@ -61,6 +62,8 @@ class EdgeDegreeLaw:
         self.var_degrees = np.asarray(self.var_degrees, dtype=np.int64)
         self.chk_degrees = np.asarray(self.chk_degrees, dtype=np.int64)
         joint = np.asarray(self.joint, dtype=np.float64)
+        if not np.all(np.isfinite(joint)):
+            raise ValueError("joint entries must be finite")
         if joint.shape != (self.var_degrees.size, self.chk_degrees.size):
             raise ValueError("joint shape does not match degree supports")
         if np.any(joint < 0):
@@ -156,6 +159,34 @@ class PopdynRecord:
     llr_var: float
 
 
+class _ClassSampler:
+    """Class indices drawn from the law p as rng.choice(p.size, shape, p=p)
+    draws them: the same index for every entry, the generator left in the
+    same state.
+
+    choice returns cdf.searchsorted(u, "right") for u = rng.random(shape).
+    A guide table (Chen & Asau 1974) splits [0, 1) into _GUIDE buckets and
+    stores the class of every bucket that no cdf value falls inside, so
+    most entries cost one gather; the rest, marked -1, go through
+    searchsorted.
+    """
+
+    def __init__(self, p: np.ndarray):
+        self.cdf = p.cumsum()
+        self.cdf /= self.cdf[-1]
+        edges = np.arange(_GUIDE + 1) / _GUIDE
+        lo = self.cdf.searchsorted(edges[:-1], "right")
+        hi = self.cdf.searchsorted(edges[1:], "left")
+        # the smallest signed type that holds every class and the -1 mark
+        self.table = np.where(lo == hi, lo, -1).astype(np.min_scalar_type(-p.size))
+
+    def classes(self, u: np.ndarray) -> np.ndarray:
+        cls = self.table[(u * _GUIDE).astype(np.intp)]
+        miss = cls < 0
+        cls[miss] = self.cdf.searchsorted(u[miss], "right")
+        return cls
+
+
 @dataclass
 class _Population:
     """One side's messages: class i holds msgs[start[i] : start[i] + size[i]]."""
@@ -172,12 +203,12 @@ class _Population:
     def part(self, i: int) -> slice:
         return slice(self.start[i], self.start[i] + self.size[i])
 
-    def draw(self, cond: np.ndarray, shape: tuple, rng: np.random.Generator) -> np.ndarray:
-        """Messages of the given shape; each entry's class drawn from cond,
+    def draw(self, sampler: _ClassSampler, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+        """Messages of the given shape; each entry's class drawn by sampler,
         its member uniformly within the class."""
-        if cond.size == 1:
+        if sampler.cdf.size == 1:
             return self.msgs[rng.integers(0, self.size[0], shape)]
-        cls = rng.choice(cond.size, size=shape, p=cond)
+        cls = sampler.classes(rng.random(shape))
         return self.msgs[self.start[cls] + rng.integers(0, self.size[cls])]
 
 
@@ -208,9 +239,11 @@ def popdyn_run(
     v2c = _Population.zeros(law.q_v, population)
     c2v = _Population.zeros(law.q_c, population)
     chk_inputs = law.chk_degrees - (2 if law.parity_attached else 1)
+    c_given_v = [_ClassSampler(row) for row in law.cond_c_given_v]
+    v_given_c = [_ClassSampler(row) for row in law.cond_v_given_c]
 
     def variable_update(i: int, rows: int, inputs: int) -> np.ndarray:
-        incoming = c2v.draw(law.cond_c_given_v[i], (rows, inputs), rng)
+        incoming = c2v.draw(c_given_v[i], (rows, inputs), rng)
         return incoming.sum(axis=1) + _channel_llrs(ch, rows, rng)
 
     records: list[PopdynRecord] = []
@@ -219,7 +252,7 @@ def popdyn_run(
             v2c.msgs[v2c.part(i)] = variable_update(i, v2c.size[i], dv - 1)
 
         for j, t in enumerate(chk_inputs):
-            incoming = v2c.draw(law.cond_v_given_c[j], (c2v.size[j], t), rng)
+            incoming = v2c.draw(v_given_c[j], (c2v.size[j], t), rng)
             prod = np.tanh(0.5 * np.clip(incoming, -LLR_CLAMP, LLR_CLAMP)).prod(axis=1)
             if law.parity_attached:
                 par = _channel_llrs(ch, c2v.size[j], rng)

@@ -91,6 +91,13 @@ class TestBitMatrix:
         assert shuffled == BitMatrix(2, 3, [(0, 1), (0, 2), (1, 0)])
         assert shuffled.edges.tolist() == [[0, 1], [0, 2], [1, 0]]
 
+    def test_non_integer_positions_rejected(self):
+        for given in ([(0.7, 1.9)], np.array([[0.0, 1.0]]), [(True, False)]):
+            with pytest.raises(ValueError, match="integer positions"):
+                BitMatrix(2, 2, given)
+        assert BitMatrix(2, 2, []).nnz() == 0
+        assert BitMatrix(2, 2, np.array([[0, 1]], dtype=np.uint8)).edges.tolist() == [[0, 1]]
+
     def test_keeps_a_read_only_column_major_copy(self):
         # already row-major, so the constructor's sort makes no copy of its own
         given = np.array([[0, 2], [1, 0]], dtype=np.int64)

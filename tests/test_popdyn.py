@@ -12,6 +12,7 @@ from bgmlab.ensemble import sample_bgm
 from bgmlab.graph import BipartiteGraph, configuration_model
 from bgmlab.popdyn import (
     EdgeDegreeLaw,
+    _ClassSampler,
     law_from_ensemble,
     law_from_graph,
     popdyn_run,
@@ -71,6 +72,12 @@ class TestEdgeDegreeLaw:
                 np.array([2]), np.array([1]), np.ones((1, 1)), parity_attached=True
             )
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_joint_refused(self, bad):
+        joint = np.array([[0.5, 0.1], [bad, 0.25]])
+        with pytest.raises(ValueError, match="finite"):
+            EdgeDegreeLaw(np.array([2, 5]), np.array([3, 7]), joint)
+
 
 class TestLawFromEnsemble:
     def test_gives_product_law(self):
@@ -112,6 +119,58 @@ class TestLawFromGraph:
         assert law_correlation(graph_law(0.5)) > 0.2
 
 
+def sampler_laws():
+    """Class laws with tiny, zero-mass and bucket-edge classes, as rows of
+    the laws popdyn_run draws from or written out by hand."""
+    graph = graph_law(-0.3, k=64, rho=0.06)
+    return {
+        "ensemble": law_from_ensemble(1024, 1024, 0.01).cond_v_given_c[0],
+        "graph-row": graph.cond_c_given_v[0],
+        "graph-column": graph.cond_v_given_c[-1],
+        "bucket-edges": np.array([0.25, 0.25, 0.5]),
+        "zero-mass": np.array([0.0, 0.5, 0.0, 0.0, 0.5, 0.0]),
+        "near-1e-9": np.array([1e-9, 0.5, 3e-9, 0.5 - 5e-9, 1e-9]),
+        "300-classes": np.random.default_rng(0).dirichlet(np.full(300, 0.3)),
+    }
+
+
+SAMPLER_LAWS = sampler_laws()
+
+
+class TestClassSampler:
+    @pytest.mark.parametrize("name, p", SAMPLER_LAWS.items(), ids=SAMPLER_LAWS)
+    def test_hand_picked_uniforms_match_searchsorted(self, name, p):
+        sampler = _ClassSampler(p)
+        cdf = sampler.cdf[sampler.cdf < 1.0]
+        u = np.concatenate([
+            [0.0, 1.0 - 2.0**-53],
+            np.arange(4096) / 4096,
+            cdf,
+            np.nextafter(cdf, 0.0),
+            np.nextafter(cdf, 1.0),
+        ])
+        np.testing.assert_array_equal(sampler.classes(u), sampler.cdf.searchsorted(u, "right"))
+
+    @pytest.mark.parametrize("name, p", SAMPLER_LAWS.items(), ids=SAMPLER_LAWS)
+    def test_marks_only_buckets_a_cdf_value_falls_inside(self, name, p):
+        # a cdf value on a bucket edge leaves both neighbours to the table
+        sampler = _ClassSampler(p)
+        scaled = sampler.cdf * 4096
+        inside = np.unique(np.floor(scaled[scaled % 1 != 0]).astype(int))
+        np.testing.assert_array_equal(np.flatnonzero(sampler.table < 0), inside)
+        if name == "ensemble":
+            assert inside.size == 24
+
+    @pytest.mark.parametrize("name, p", SAMPLER_LAWS.items(), ids=SAMPLER_LAWS)
+    def test_draws_what_choice_draws(self, name, p):
+        sampler = _ClassSampler(p)
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        for shape in ((1000, 37), (5,), (0, 3)):
+            got = sampler.classes(ours.random(shape))
+            np.testing.assert_array_equal(got, theirs.choice(p.size, size=shape, p=p))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 class TestPopdynRun:
     def test_matches_erasure_density_evolution(self):
         # fresh variable-to-check erasure fraction per round against the
@@ -148,6 +207,22 @@ class TestPopdynRun:
         # a single-class draw is one scalar-bound integers call, so changes to
         # the multi-class draw must leave these records as they are
         records = popdyn_run(ch, regular_law(3, 6), population=2000, iterations=5, seed=3)
+        blob = repr([dataclasses.astuple(r) for r in records]).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("law, ch, digest", (
+        ("ensemble", Bec(0.42), "a6a3e966d6ac9f49b4da6d6edc877ceed550423b09c997154386f272f4cf4c4f"),
+        ("ensemble", BpskAwgn(0.8), "7776cc15aa8e359db935f4a6cd5aa0d797c35a58cb3499632b5462e4ef75cf45"),
+        ("ensemble", Bsc(0.07), "70308038412b50b92fe3899fa1fccefaeec21a4aab090a9492e273d849818658"),
+        ("graph", Bec(0.42), "c49b649ffd1613e1c9727fb279614b0579ff2d0f500fb32aa5d8d830291e4518"),
+        ("graph", BpskAwgn(0.8), "815a920b418eac909d993f10a5ee8610119acb9b063f97280fb2b3dc96eab10f"),
+        ("graph", Bsc(0.07), "b238cae58116deb26add4fd620fb8ac75ee945cf0c616d2da2c047b5c875f947"),
+    ), ids=("ensemble-bec", "ensemble-awgn", "ensemble-bsc", "graph-bec", "graph-awgn", "graph-bsc"))
+    def test_multi_class_trajectory_pinned(self, law, ch, digest):
+        # digests taken when classes were drawn by rng.choice: the class
+        # sampler must draw the same classes from the same random stream
+        law = law_from_ensemble(1024, 1024, 0.01) if law == "ensemble" else graph_law(-0.3, k=64, rho=0.06)
+        records = popdyn_run(ch, law, population=3000, iterations=4, seed=3)
         blob = repr([dataclasses.astuple(r) for r in records]).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
 
