@@ -88,8 +88,14 @@ def sigma_from_ebn0_db(ebn0_db: float, rate: float) -> float:
     """Noise sigma for a given Eb/N0 in dB at unit signal energy."""
     if rate <= 0:
         raise ValueError("rate must be positive")
-    ebn0 = 10.0 ** (ebn0_db / 10.0)
-    return math.sqrt(1.0 / (2.0 * rate * ebn0))
+    try:
+        ebn0 = 10.0 ** (ebn0_db / 10.0)
+        sigma = math.sqrt(1.0 / (2.0 * rate * ebn0))
+    except ArithmeticError:  # 10**x overflows, or underflows to 0 and the division fails
+        sigma = math.nan
+    if not 0.0 < sigma < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"Eb/N0 of {ebn0_db} dB gives no finite positive sigma")
+    return sigma
 
 
 def channel_from_config(cfg: dict) -> Channel:

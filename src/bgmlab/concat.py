@@ -231,12 +231,12 @@ def concat_decode(
             trace.append(
                 {
                     "round": rnd,
-                    "bp_apriori": outer_extrinsic.copy(),
-                    "bp_posterior": outcome.posterior.copy(),
-                    "inner_extrinsic": inner_extrinsic.copy(),
-                    "bcjr_prior": stream_prior.copy(),
-                    "bcjr_posterior": stream_post.copy(),
-                    "outer_extrinsic": new_outer_extrinsic.copy(),
+                    "bp_apriori": outer_extrinsic,
+                    "bp_posterior": outcome.posterior,
+                    "inner_extrinsic": inner_extrinsic,
+                    "bcjr_prior": stream_prior,
+                    "bcjr_posterior": stream_post,
+                    "outer_extrinsic": new_outer_extrinsic,
                 }
             )
         outer_extrinsic = np.clip(new_outer_extrinsic, -LLR_CLAMP, LLR_CLAMP)

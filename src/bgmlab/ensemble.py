@@ -249,7 +249,8 @@ def save_code(code: SystematicCode | BpcCode, path) -> None:
 
 
 def load_code(path) -> SystematicCode:
-    """Read a systematic code saved by save_code; the sidecar is optional."""
+    """Read a systematic code saved by save_code; the sidecar is optional.
+    A bpc code's parity bits are known at the decoder, so its file is refused."""
     g = load_matrix(path)
     meta = {}
     try:
@@ -264,7 +265,6 @@ def load_code(path) -> SystematicCode:
             raise ValueError(
                 f"{path}.json: sidecar {key}={meta[key]} contradicts the matrix header's {key}={size}"
             )
-    meta = {key: val for key, val in meta.items() if key not in ("k", "m")}
     if meta.get("construction") == "bpc":
-        return BpcCode(g, meta=meta)
-    return SystematicCode(g, meta=meta)
+        raise ValueError(f"{path}: holds a bpc code, not a systematic code")
+    return SystematicCode(g, meta={key: val for key, val in meta.items() if key not in ("k", "m")})

@@ -27,7 +27,7 @@ import hashlib
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .channel import BpskAwgn, channel_from_config, llr, sigma_from_ebn0_db, transmit
 from .concat import ConcatConfig, ConcatSystem, concat_decode, concat_encode, extended_hamming
-from .decode import BpConfig, BpGraph, bp_decode, hard_decision
+from .decode import BpConfig, BpGraph, DecodeOutcome, bp_decode, hard_decision
 from .ensemble import SystematicCode, encode, load_code, sample_bgm, sample_fixed_row_weight
 from .rng import make_rng
 
@@ -86,10 +86,6 @@ _CODE_KEYS = {  # one row per construction
         "rounds": ConcatConfig.rounds, "first_round_bp_iters": ConcatConfig.first_round_bp_iters,
     },
 }
-_CONFIG_KEYS = {
-    "code": dict, "channel": dict, "sweep": list, "sweep_unit": "param",
-    "stop": {}, "decoder": {}, "seed": 0, "workers": 0, "chunk": 256,
-}
 _TYPE_NAMES = {
     int: "an integer", float: "a number", bool: "a boolean", str: "a string",
     dict: "a JSON object", list: "a list of parameter values",
@@ -123,12 +119,15 @@ def _checked(block, keys: dict, name: str) -> dict:
 
 def _checked_code(spec: dict) -> dict:
     """A code block's values, checked against its construction's row (and
-    a concat block's inner block against its own)."""
+    a concat block's inner block, which must name a plain code, against its own)."""
     kind = spec.get("construction") if isinstance(spec, dict) else None
     if not isinstance(kind, str) or kind not in _CODE_KEYS:
         raise ValueError(f"unknown code construction {kind!r}")
     values = _checked(spec, {"construction": str, **_CODE_KEYS[kind]}, f"{kind} code")
     if kind == "concat":
+        inner = values["inner"].get("construction")
+        if inner not in ("bgm", "fixed-row-weight", "graph-file"):
+            raise ValueError(f"concat inner code must be bgm, fixed-row-weight or graph-file, got {inner!r}")
         _checked_code(values["inner"])
     return values
 
@@ -169,6 +168,11 @@ class SimConfig:
             raise ValueError("chunk must be positive")
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
+
+
+# SimConfig's fields, in order, with its defaults; the required fields take
+# their JSON types, and stop and decoder are JSON objects in a config
+_CONFIG_KEYS = {**_field_keys(SimConfig), "code": dict, "channel": dict, "sweep": list, "stop": {}, "decoder": {}}
 
 
 @dataclass
@@ -242,7 +246,7 @@ def build_code(spec: dict) -> SystematicCode | ConcatSystem | None:
 
     Returns None for the uncoded construction (bits straight through the
     channel with hard decisions), and a ConcatSystem for the concat
-    construction, whose "inner" block is itself a systematic code spec.
+    construction, whose "inner" block names a plain systematic code.
     """
     c = _checked_code(spec)
     kind = c["construction"]
@@ -251,14 +255,9 @@ def build_code(spec: dict) -> SystematicCode | ConcatSystem | None:
     if kind == "fixed-row-weight":
         return sample_fixed_row_weight(c["k"], c["m"], c["w"], c["seed"])
     if kind == "graph-file":
-        code = load_code(c["path"])
-        if not isinstance(code, SystematicCode):
-            raise ValueError("graph-file construction needs a systematic code matrix")
-        return code
+        return load_code(c["path"])
     if kind == "concat":
         inner = build_code(c["inner"])
-        if not isinstance(inner, SystematicCode):
-            raise ValueError("concat construction needs a systematic inner code")
         return ConcatSystem(extended_hamming(c["outer_r"]), c["blocks"], inner, interleaver_seed=c["interleaver_seed"])
     return None
 
@@ -270,7 +269,7 @@ class _System:
     k: int
     rate: float | None
     encode: Callable[[np.ndarray], np.ndarray]
-    decode: Callable[[np.ndarray], tuple[np.ndarray, int]]  # LLRs -> (message, iterations)
+    decode: Callable[[np.ndarray], DecodeOutcome]  # LLRs -> outcome, deciding the k message bits
 
 
 def _build_system(cfg: SimConfig) -> _System:
@@ -279,32 +278,21 @@ def _build_system(cfg: SimConfig) -> _System:
     spec = _checked_code(cfg.code)
     code = build_code(cfg.code)
     if code is None:
-        return _System(spec["k"], None, lambda u: u, lambda llrs: (hard_decision(llrs), 0))
+        return _System(spec["k"], None, lambda u: u, lambda llrs: DecodeOutcome(hard_decision(llrs), True, 0))
     if isinstance(code, ConcatSystem):
         rx = ConcatConfig(rounds=spec["rounds"], first_round_bp_iters=spec["first_round_bp_iters"])
         shape = (code.blocks, code.outer.k)
 
         def decode_concat(llrs):
             out = concat_decode(code, llrs, rx)
-            return code.message_bits(out.hard_decision), out.iterations_used
+            return replace(out, hard_decision=code.message_bits(out.hard_decision))
 
         return _System(
             shape[0] * shape[1], float(code.total_rate),
             lambda u: concat_encode(code, u.reshape(shape)), decode_concat,
         )
     graph = BpGraph(code)
-
-    def decode_plain(llrs):
-        out = bp_decode(graph, llrs, cfg.decoder)
-        return out.hard_decision, out.iterations_used
-
-    return _System(code.k, float(code.rate), lambda u: encode(code, u), decode_plain)
-
-
-def _point_channel(cfg: SimConfig, value: float, rate: float | None):
-    if cfg.sweep_unit == "ebn0_db":
-        return BpskAwgn(sigma_from_ebn0_db(value, rate))
-    return channel_from_config({**cfg.channel, "param": value})
+    return _System(code.k, float(code.rate), lambda u: encode(code, u), lambda llrs: bp_decode(graph, llrs, cfg.decoder))
 
 
 # the running campaign's cfg and system, set before its pool forks: workers inherit them
@@ -313,37 +301,42 @@ _CAMPAIGN: dict = {}
 
 def _run_chunk(chunk: tuple) -> SweepPointResult:
     cfg, system = _CAMPAIGN["cfg"], _CAMPAIGN["system"]
-    sweep_idx, value, t_start, t_stop = chunk
-    ch = _point_channel(cfg, value, system.rate)
-    counts = SweepPointResult(float(value), cfg.seed, system.k)
+    sweep_idx, ch, t_start, t_stop = chunk
+    counts = SweepPointResult(float(cfg.sweep[sweep_idx]), cfg.seed, system.k)
     for trial in range(t_start, t_stop):
         rng = make_rng(cfg.seed, sweep_idx, trial)
         u = rng.integers(0, 2, size=system.k, dtype=np.uint8)
         received = transmit(ch, system.encode(u), rng)
-        u_hat, iters = system.decode(llr(ch, received))
-        errs = int(np.count_nonzero(u_hat != u))
+        out = system.decode(llr(ch, received))
+        errs = int(np.count_nonzero(out.hard_decision != u))
         counts.frames += 1
         counts.bit_errors += errs
         counts.frame_errors += int(errs > 0)
-        counts.iters += iters
+        counts.iters += out.iterations_used
     return counts
 
 
 def run_campaign(cfg: SimConfig) -> list[SweepPointResult]:
     """Run every sweep point under the stopping rule; see module docstring."""
     system = _build_system(cfg)
+    # every point's channel, before the first frame: a bad sweep value is refused before any point runs
+    channels = [
+        BpskAwgn(sigma_from_ebn0_db(value, system.rate)) if cfg.sweep_unit == "ebn0_db"
+        else channel_from_config({**cfg.channel, "param": value})
+        for value in cfg.sweep
+    ]
     _CAMPAIGN.update(cfg=cfg, system=system)
     stop = cfg.stop
     results = []
     pool = multiprocessing.get_context("fork").Pool(cfg.workers) if cfg.workers > 1 else None
     try:
-        for sweep_idx, value in enumerate(cfg.sweep):
+        for sweep_idx, (value, ch) in enumerate(zip(cfg.sweep, channels)):
             t0 = time.perf_counter()
             point = SweepPointResult(float(value), cfg.seed, system.k)
             while not point.done(stop):
                 batch_end = min(point.frames + max(cfg.workers, 1) * cfg.chunk, stop.max_frames)
                 chunks = [
-                    (sweep_idx, value, t, min(t + cfg.chunk, batch_end))
+                    (sweep_idx, ch, t, min(t + cfg.chunk, batch_end))
                     for t in range(point.frames, batch_end, cfg.chunk)
                 ]
                 # merge in submission order, honoring the stop rule at chunk
@@ -369,19 +362,18 @@ def run_fixed_work(specs, sigma: float, frames: int, seed: int, workers: int = 0
     return [run_campaign(cfg)[0] for cfg in cfgs]
 
 
-def write_csv(results, cfg: SimConfig, path, timing: bool = False) -> None:
+def write_csv(results, cfg: SimConfig, path) -> None:
     """Campaign CSV: one comment header line, column names, one row per point.
 
-    elapsed_s is written as 0.000 unless timing is requested, so that
-    same-seed reruns are byte-identical; wall time goes to the run log.
+    elapsed_s is always written as 0.000, so that same-seed reruns are
+    byte-identical; wall time goes to the run log.
     """
     digest = config_digest(cfg)
     with open(path, "w") as fh:
         fh.write(f"# bgmlab-simulate v{__version__} config_sha256={digest} seed={cfg.seed}\n")
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in results:
-            elapsed = f"{r.elapsed_s:.3f}" if timing else "0.000"
             fh.write(
                 f"{r.param:.10g},{r.frames},{r.bit_errors},{r.frame_errors},"
-                f"{r.ber:.10g},{r.fer:.10g},{r.avg_iters:.6f},{elapsed},{r.seed}\n"
+                f"{r.ber:.10g},{r.fer:.10g},{r.avg_iters:.6f},0.000,{r.seed}\n"
             )

@@ -109,6 +109,11 @@ class TestChannelConfig:
     def test_ebn0_conversion(self):
         assert sigma_from_ebn0_db(0.0, 0.5) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("ebn0_db", (-math.inf, math.inf, math.nan, 4000.0, -4000.0))
+    def test_ebn0_without_a_finite_sigma_refused(self, ebn0_db):
+        with pytest.raises(ValueError, match=f"^Eb/N0 of {ebn0_db} dB gives no finite positive sigma$"):
+            sigma_from_ebn0_db(ebn0_db, 0.5)
+
     def test_rejects_incomplete_config(self):
         with pytest.raises(ValueError):
             channel_from_config({"type": "laplace", "param": 1.0})

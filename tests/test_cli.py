@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -236,6 +237,34 @@ class TestSimulate:
         assert code == 2
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("ebn0_db", ("-inf", "nan", "4000", "-4000"))
+    def test_ebn0_without_a_finite_sigma_exits_two(self, capsys, tmp_path, ebn0_db):
+        cfg = tmp_path / "ebn0.json"
+        cfg.write_text(json.dumps({
+            "code": {"construction": "bgm", "k": 8, "m": 8, "rho": 0.1}, "channel": {"type": "awgn"},
+            "sweep": [2.0, float(ebn0_db)], "sweep_unit": "ebn0_db", "stop": {"max_frames": 5},
+        }))
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: Eb/N0 of {float(ebn0_db)} dB gives no finite positive sigma\n"
+        assert not out.exists()
+
+    def test_wall_time_goes_to_stderr(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli(capsys, "simulate", "--config", self.write_config(tmp_path), "--out", str(out))
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 2
+        for line, param in zip(lines, ("0.1", "0.05")):
+            assert re.fullmatch(rf"param={param} frames=30 ber=\S+ fer=\S+ elapsed=\d+\.\d{{3}}s", line)
+        # the CSV keeps 0.000, so that same-seed reruns stay byte-identical
+        assert [row.split(",")[7] for row in out.read_text().splitlines()[2:]] == ["0.000", "0.000"]
+
+    def test_timing_flag_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--config", self.write_config(tmp_path), "--out", str(tmp_path / "t.csv"), "--timing"])
+
     def test_missing_config_exits_nonzero(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--config", str(tmp_path / "nope.json"),
@@ -405,6 +434,35 @@ class TestGraphgenPipeline:
             "--population", "2000", "--iterations", "3", "--seed", "1",
         )
         assert code == 0 and len(out.strip().splitlines()) == 4
+
+
+class TestSavedBpcCode:
+    """A bpc code's parity bits are known at the decoder: every command that
+    reads a systematic code refuses the file, in one line naming it."""
+
+    @pytest.mark.parametrize("command", ("encode", "bounds", "simulate", "popdyn"))
+    def test_every_reader_refuses_it(self, capsys, tmp_path, command):
+        path = str(tmp_path / "bpc.txt")
+        assert run_cli(
+            capsys, "sample-code", "--construction", "bpc", "--k", "8", "--m", "4", "--seed", "1", "--out", path,
+        )[0] == 0
+        csv = tmp_path / "run.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "code": {"construction": "graph-file", "path": path}, "channel": {"type": "awgn"},
+            "sweep": [0.8], "stop": {"max_frames": 4},
+        }))
+        argv = {
+            "encode": ("encode", "--code", path, "--message", "10110001"),
+            "bounds": ("bounds", "--code", path, "--sigma", "0.8"),
+            "simulate": ("simulate", "--config", str(cfg), "--out", str(csv)),
+            "popdyn": ("popdyn", "--graph", path, "--channel", "bec", "--param", "0.2",
+                       "--population", "200", "--iterations", "1", "--seed", "1"),
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {path}: holds a bpc code, not a systematic code\n")
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestExponentCommand:

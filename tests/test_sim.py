@@ -1,5 +1,7 @@
 """Campaign runner: accounting, stopping, parallel reproducibility, CSV."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="^unknown bgm code key: sed$"):
             build_code({**CONCAT_8_32, "inner": {**CONCAT_8_32["inner"], "sed": 5}})
 
+    @pytest.mark.parametrize("inner", ({"construction": "uncoded", "k": 16}, CONCAT_8_32))
+    def test_concat_inner_block_must_name_a_plain_code(self, inner):
+        # refused with its keys, when the config is made, before any code is built
+        message = f"^concat inner code must be bgm, fixed-row-weight or graph-file, got '{inner['construction']}'$"
+        with pytest.raises(ValueError, match=message):
+            SimConfig(code={**CONCAT_8_32, "inner": inner}, channel={"type": "awgn"}, sweep=(0.5,))
+
     def test_check_leaves_the_block_and_digest_alone(self):
         # the check fills in no defaults, so a campaign's digest stays what it was
         code = {"construction": "concat", "outer_r": 3, "blocks": 2, "inner": CONCAT_8_32["inner"]}
@@ -137,7 +146,7 @@ class TestBuildCode:
         assert (system.blocks, system.outer.n, system.inner.k, system.inner.m) == (2, 8, 16, 16)
         with pytest.raises(ValueError, match="^outer stream length 3\\*8 does not match inner k=16$"):
             build_code({**CONCAT_8_32, "blocks": 3})
-        with pytest.raises(ValueError, match="systematic inner"):
+        with pytest.raises(ValueError, match="^concat inner code must be bgm, fixed-row-weight or graph-file, got 'uncoded'$"):
             build_code({**CONCAT_8_32, "inner": {"construction": "uncoded", "k": 16}})
 
     def test_unknown_construction(self):
@@ -255,6 +264,20 @@ class TestRunCampaign:
         low, high = run_campaign(cfg)
         assert low.bit_errors > high.bit_errors
 
+    @pytest.mark.parametrize("channel, sweep, message", (
+        ({"type": "awgn"}, (0.6, -1.0), "sigma must be finite and positive, got -1.0"),
+        ({"type": "bsc"}, (0.1, 1.5), "crossover must lie in [0, 1], got 1.5"),
+        ({"type": "laplace"}, (0.1, 0.2), "unknown channel type 'laplace'"),
+    ))
+    def test_bad_channel_refused_before_any_frame(self, monkeypatch, channel, sweep, message):
+        frames = []
+        make_rng = sim.make_rng
+        monkeypatch.setattr(sim, "make_rng", lambda *key: frames.append(key) or make_rng(*key))
+        cfg = SimConfig(code=PLAIN_8_32, channel=channel, sweep=sweep, stop=StopRule(max_frames=20))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_campaign(cfg)
+        assert frames == []
+
     def test_deterministic_per_seed(self):
         cfg = bsc_uncoded_config(sweep=(0.15,))
         a = run_campaign(cfg)
@@ -289,11 +312,3 @@ class TestWriteCsv:
         assert float(fields[5]) == point.frame_errors / point.frames
         assert float(fields[4]) <= float(fields[5])
         assert fields[7] == "0.000"
-
-    def test_timing_flag_fills_elapsed(self, tmp_path):
-        cfg = bsc_uncoded_config()
-        results = run_campaign(cfg)
-        path = tmp_path / "t.csv"
-        write_csv(results, cfg, path, timing=True)
-        row = path.read_text().splitlines()[2]
-        assert row.split(",")[7] != "0.000"
