@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -87,6 +88,9 @@ def _cmd_simulate(args) -> int:
     cfg = config_from_dict(raw)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    # write_csv opens --out only after the campaign, so its place is checked first
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise ValueError(f"{args.out}: --out must name a file in an existing directory")
     results = run_campaign(cfg)
     write_csv(results, cfg, args.out)
     for r in results:

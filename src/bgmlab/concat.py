@@ -26,6 +26,7 @@ __all__ = [
     "bcjr_decode",
     "ConcatConfig",
     "ConcatSystem",
+    "check_outer_stream",
     "concat_encode",
     "concat_decode",
 ]
@@ -37,15 +38,14 @@ class ExtendedHammingCode:
 
     The code is its column-syndrome table: column j of H is the bits of
     ((j + 1) mod n) | 2^r, the bits of j + 1 over an all-ones parity row.
-    H, the parity and message positions, the generator and the labels of
-    the BCJR trellis all read that one array.
+    The parity and message positions, the generator and the labels of the
+    BCJR trellis all read that one array; H itself is not stored.
     """
 
     r: int
     n: int = field(init=False)
     k: int = field(init=False)
     column_syndromes: np.ndarray = field(init=False, repr=False)
-    parity_check: BitMatrix = field(init=False, repr=False)
     generator: BitMatrix = field(init=False, repr=False)
     info: np.ndarray = field(init=False, repr=False)
     _gen_dense: np.ndarray = field(init=False, repr=False)
@@ -57,7 +57,6 @@ class ExtendedHammingCode:
         self.k = self.n - self.r - 1
         syn = ((np.arange(self.n) + 1) % self.n) | self.n
         self.column_syndromes = syn
-        self.parity_check = BitMatrix.from_dense((syn >> np.arange(self.r + 1)[:, None]) & 1)
         # parity positions: the leftmost columns outside the span of the
         # columns before them (the RREF pivots); `reach` maps each syndrome
         # they span to the bitmask of the parity columns that sum to it
@@ -147,6 +146,14 @@ class ConcatConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
+def check_outer_stream(blocks: int, n: int, inner_k: int) -> None:
+    """Refuse `blocks` outer codewords of length n that do not make up one inner message."""
+    if blocks < 1:
+        raise ValueError("need at least one outer block")
+    if blocks * n != inner_k:
+        raise ValueError(f"outer stream length {blocks}*{n} does not match inner k={inner_k}")
+
+
 @dataclass(eq=False)
 class ConcatSystem:
     """Outer blocks feeding an inner systematic code through an interleaver."""
@@ -159,13 +166,7 @@ class ConcatSystem:
     graph: BpGraph = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.blocks < 1:
-            raise ValueError("need at least one outer block")
-        if self.blocks * self.outer.n != self.inner.k:
-            raise ValueError(
-                f"outer stream length {self.blocks}*{self.outer.n} "
-                f"does not match inner k={self.inner.k}"
-            )
+        check_outer_stream(self.blocks, self.outer.n, self.inner.k)
         rng = make_rng(self.interleaver_seed, "interleaver")
         # inner message position of outer-stream bit i
         self.perm = rng.permutation(self.inner.k)

@@ -2,9 +2,11 @@
 
 The workhorse is flooding sum-product BP on the code's normal graph: one
 variable node per message bit, one check node per parity position.  The
-parity observation enters each check as a degree-1 attachment, so its LLR
-is folded straight into the check update.  Exhaustive MLD is the
-small-scale oracle that BP is checked against.
+parity observation is a degree-1 attachment to its check, so the check
+pass reads it as that check's last factor, after the check's edges: one
+pass over one factor array gives the messages to the edges and the
+extrinsic to the parity bits alike.  Exhaustive MLD is the small-scale
+oracle that BP is checked against.
 """
 
 from __future__ import annotations
@@ -53,63 +55,41 @@ def hard_decision(llrs) -> np.ndarray:
 
 
 class BpGraph:
-    """Edge arrays of a code's normal graph: views of its G's edge array."""
+    """Factor arrays of a code's normal graph: each check's edges, then its
+    parity observation as its last factor."""
 
     def __init__(self, code: SystematicCode):
         self.code = code
         self.edge_var = code.g.edges[:, 0]
-        self.edge_chk = code.g.edges[:, 1]
         self.n_edges = code.g.nnz()
+        self.factor_chk = np.concatenate([code.g.edges[:, 1], np.arange(code.m)])
 
 
-def _signed_product(log, odd, zero):
-    """exp(log), overwriting `log`, negated where `odd` and 0 where `zero` (None: nowhere)."""
-    prod = np.exp(log, out=log)
-    if zero is not None:
-        prod[zero] = 0.0
-    prod = np.where(odd, -prod, prod)
-    return np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT, out=prod)
+def _check_pass(t, chk, m):
+    """Exclusive tanh product to every factor: its check's other factors.
 
-
-def _log_abs(t):
-    """log|t|, with 0 where |t| < 1e-300, and the mask of those entries."""
+    `t` holds the factors' tanh values and `chk` their checks.  Works in
+    sign/log-magnitude form: the log magnitudes and the sign parities are
+    summed per check, and each product takes its own factor back out.  A
+    factor of magnitude under 1e-300 (an erasure) adds 0 to the log sum and
+    1 to its check's zero count instead; a product is 0 when its check
+    counts a zero factor other than its own.  The counts are taken only
+    when some factor is zero.
+    """
     mag = np.abs(t)
     zero = mag < 1e-300
     mag[zero] = 1.0
-    return np.log(mag, out=mag), zero
+    logmag = np.log(mag, out=mag)
+    neg = t < 0.0
+    chk_odd = (np.bincount(chk[neg], minlength=m) & 1) == 1
 
-
-def _check_pass(t_edge, t_par, edge_chk, m):
-    """Exclusive tanh products per check: to each edge and to each parity bit.
-
-    The edge products include the parity factor; the parity products are
-    the whole check with that factor taken out.  Works in sign/log-magnitude
-    form: the log magnitudes and the sign parities are summed per check,
-    and each product takes its own factor back out.  A factor of magnitude
-    under 1e-300 (an erasure) adds 0 to the log sum and 1 to its check's
-    zero count instead; a product is 0 when its check counts a zero factor
-    other than its own.  The counts are taken only when some factor is
-    zero: otherwise every count is 0 and no product is zeroed.
-    """
-    logmag, zero = _log_abs(t_edge)
-    par_log, par_zero = _log_abs(t_par)
-    neg = t_edge < 0.0
-    par_neg = t_par < 0.0
-
-    chk_log = np.bincount(edge_chk, weights=logmag, minlength=m) + par_log
-    chk_odd = ((np.bincount(edge_chk[neg], minlength=m) & 1) == 1) ^ par_neg
-
-    edge_zero = par_zero_left = None
-    if zero.any() or par_zero.any():
-        chk_zero = np.bincount(edge_chk[zero], minlength=m) + par_zero
-        edge_zero = chk_zero[edge_chk] - zero > 0
-        par_zero_left = chk_zero - par_zero > 0
-
-    edge_log = chk_log[edge_chk]
-    edge_log -= logmag
-    prod = _signed_product(edge_log, chk_odd[edge_chk] ^ neg, edge_zero)
-    to_par = _signed_product(chk_log - par_log, chk_odd ^ par_neg, par_zero_left)
-    return prod, to_par
+    # a new array, not -=: the bincount of no factors (a code with m = 0) is int64
+    log = np.bincount(chk, weights=logmag, minlength=m)[chk] - logmag
+    prod = np.exp(log, out=log)
+    if zero.any():
+        prod[np.bincount(chk[zero], minlength=m)[chk] - zero > 0] = 0.0
+    prod = np.where(chk_odd[chk] ^ neg, -prod, prod)
+    return np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT, out=prod)
 
 
 def bp_decode(
@@ -142,20 +122,22 @@ def bp_decode(
         l_sys = l_sys + apriori
     l_par = llrs[code.k :]
 
-    t_par = np.tanh(0.5 * np.clip(l_par, -LLR_CLAMP, LLR_CLAMP))
+    e = graph.n_edges
+    t = np.empty(e + code.m)  # the edges' tanh messages, then the parity observations'
+    np.tanh(0.5 * np.clip(l_par, -LLR_CLAMP, LLR_CLAMP), out=t[e:])
     v2c = l_sys[graph.edge_var]
 
     for iterations in range(1, cfg.max_iterations + 1):
-        t_edge = np.tanh(0.5 * np.clip(v2c, -LLR_CLAMP, LLR_CLAMP))
-        prod, to_par = _check_pass(t_edge, t_par, graph.edge_chk, code.m)
-        c2v = np.clip(2.0 * np.arctanh(prod), -LLR_CLAMP, LLR_CLAMP)
+        np.tanh(0.5 * np.clip(v2c, -LLR_CLAMP, LLR_CLAMP), out=t[:e])
+        ext = 2.0 * np.arctanh(_check_pass(t, graph.factor_chk, code.m))
+        c2v = np.clip(ext[:e], -LLR_CLAMP, LLR_CLAMP)
 
         var_tot = np.bincount(graph.edge_var, weights=c2v, minlength=code.k)
         posterior = l_sys + var_tot
         v2c = posterior[graph.edge_var] - c2v
 
         u_hat = hard_decision(posterior)
-        par_hard = hard_decision(l_par + 2.0 * np.arctanh(to_par))
+        par_hard = hard_decision(l_par + ext[e:])
         converged = bool(np.array_equal(mat_vec_mul(code.g, u_hat), par_hard))
         if converged and cfg.early_stop:
             break

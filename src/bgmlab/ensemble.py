@@ -252,6 +252,8 @@ def load_code(path) -> SystematicCode:
     """Read a systematic code saved by save_code; the sidecar is optional.
     A bpc code's parity bits are known at the decoder, so its file is refused."""
     g = load_matrix(path)
+    if g.rows == 0:
+        raise ValueError(f"{path}: the matrix has no rows, so the code carries no message bits")
     meta = {}
     try:
         with open(f"{path}.json") as fh:

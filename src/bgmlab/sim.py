@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .channel import BpskAwgn, channel_from_config, llr, sigma_from_ebn0_db, transmit
-from .concat import ConcatConfig, ConcatSystem, concat_decode, concat_encode, extended_hamming
+from .concat import ConcatConfig, ConcatSystem, check_outer_stream, concat_decode, concat_encode, extended_hamming
 from .decode import BpConfig, BpGraph, DecodeOutcome, bp_decode, hard_decision
 from .ensemble import SystematicCode, encode, load_code, sample_bgm, sample_fixed_row_weight
 from .rng import make_rng
@@ -258,6 +258,8 @@ def build_code(spec: dict) -> SystematicCode | ConcatSystem | None:
         return load_code(c["path"])
     if kind == "concat":
         inner = build_code(c["inner"])
+        if c["outer_r"] >= 2:  # before extended_hamming builds 2^outer_r columns (below 2 it refuses r)
+            check_outer_stream(c["blocks"], 2 ** c["outer_r"], inner.k)
         return ConcatSystem(extended_hamming(c["outer_r"]), c["blocks"], inner, interleaver_seed=c["interleaver_seed"])
     return None
 

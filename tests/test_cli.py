@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bgmlab
-from bgmlab import __version__
+from bgmlab import __version__, sim
 from bgmlab.bounds import qfunc
 from bgmlab.cli import main
 from bgmlab.ensemble import SystematicCode, encode, iowef, load_code, save_code
@@ -149,10 +149,10 @@ class TestSimulate:
         with open(out) as fh:
             assert "seed=77" in fh.readline()
 
-    def run_concat(self, capsys, tmp_path, blocks):
+    def run_concat(self, capsys, tmp_path, blocks, outer_r=3):
         cfg = tmp_path / "concat.json"
         cfg.write_text(json.dumps({
-            "code": {"construction": "concat", "outer_r": 3, "blocks": blocks, "rounds": 2,
+            "code": {"construction": "concat", "outer_r": outer_r, "blocks": blocks, "rounds": 2,
                      "inner": {"construction": "bgm", "k": 16, "m": 8, "rho": 0.2, "seed": 3}},
             "channel": {"type": "awgn"}, "sweep": [0.4, 0.8],
             "stop": {"min_frame_errors": 1000, "max_frames": 5}, "seed": 3,
@@ -172,6 +172,30 @@ class TestSimulate:
         code, _, err = self.run_concat(capsys, tmp_path, blocks=3)
         assert code == 2
         assert err == "error: outer stream length 3*8 does not match inner k=16\n"
+
+    @pytest.mark.parametrize("outer_r, blocks, message", (
+        (40, 2, "outer stream length 2*1099511627776 does not match inner k=16"),
+        (40, 0, "need at least one outer block"),
+        (3, 0, "need at least one outer block"),
+        (1, 2, "need r >= 2, got 1"),
+    ))
+    def test_concat_stream_refused_before_the_outer_code_is_built(self, capsys, tmp_path, outer_r, blocks, message):
+        # a 2^40-column outer code would need terabytes: the length is checked first
+        assert self.run_concat(capsys, tmp_path, blocks, outer_r) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("where", ("a-directory", "in-a-missing-directory"))
+    def test_bad_out_refused_before_any_frame(self, capsys, tmp_path, monkeypatch, where):
+        frames = []
+        make_rng = sim.make_rng
+        monkeypatch.setattr(sim, "make_rng", lambda *key: frames.append(key) or make_rng(*key))
+        cfg = self.write_config(tmp_path)
+        out = str(tmp_path if where == "a-directory" else tmp_path / "missing" / "c.csv")
+        before = sorted(tmp_path.iterdir())
+        code, stdout, err = run_cli(capsys, "simulate", "--config", cfg, "--out", out)
+        assert (code, stdout, err) == (2, "", f"error: {out}: --out must name a file in an existing directory\n")
+        assert frames == []
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("fault", (
         ({"code": {"construction": "bgm", "m": 8, "rho": 0.1}}, "bgm code missing key: k"),
@@ -462,6 +486,32 @@ class TestSavedBpcCode:
         before = sorted(tmp_path.iterdir())
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {path}: holds a bpc code, not a systematic code\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+
+class TestZeroRowCode:
+    """A matrix with no rows is no code: every command that reads a code
+    file refuses it, in one line naming it, and writes nothing."""
+
+    @pytest.mark.parametrize("command", ("encode", "bounds", "simulate", "popdyn"))
+    def test_every_reader_refuses_it(self, capsys, tmp_path, command):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 4\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "code": {"construction": "graph-file", "path": str(path)}, "channel": {"type": "awgn"},
+            "sweep": [0.8], "stop": {"max_frames": 4},
+        }))
+        argv = {
+            "encode": ("encode", "--code", str(path), "--message", ""),
+            "bounds": ("bounds", "--code", str(path), "--sigma", "0.8"),
+            "simulate": ("simulate", "--config", str(cfg), "--out", str(tmp_path / "run.csv")),
+            "popdyn": ("popdyn", "--graph", str(path), "--channel", "bec", "--param", "0.2",
+                       "--population", "200", "--iterations", "1", "--seed", "1"),
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {path}: the matrix has no rows, so the code carries no message bits\n")
         assert sorted(tmp_path.iterdir()) == before
 
 

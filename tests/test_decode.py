@@ -9,6 +9,7 @@ from bgmlab.channel import BpskAwgn, llr, transmit
 from bgmlab.decode import (
     BpConfig,
     BpGraph,
+    _check_pass,
     bp_decode,
     hard_decision,
     mld_exhaustive,
@@ -49,6 +50,30 @@ class TestHardDecision:
         assert np.array_equal(out, [0, 1, 1])
 
 
+class TestCheckPass:
+    def test_matches_brute_force_exclusive_products(self):
+        # checks 0-3 hold 0, 1 (an edge), 2 (an edge and the parity factor)
+        # and 1 (the parity factor) exactly-zero factors; signs are mixed
+        code = SystematicCode(BitMatrix(4, 4, [
+            (0, 0), (1, 0), (2, 0), (0, 1), (3, 1), (1, 2), (2, 2), (3, 2), (0, 3), (2, 3),
+        ]))
+        graph = BpGraph(code)
+        chk = graph.factor_chk
+        assert np.array_equal(chk, np.concatenate([code.g.edges[:, 1], np.arange(4)]))
+        # each check's edges, then its parity factor, which holds the last value
+        factors = {0: [0.9, -0.3, 0.5, -0.6], 1: [0.0, -0.7, 0.35], 2: [0.0, -0.2, 0.6, 0.0], 3: [0.4, -0.8, 0.0]}
+        t = np.empty(chk.size)
+        for c, values in factors.items():
+            t[chk == c] = values
+        assert np.array_equal(t[graph.n_edges:], [-0.6, 0.35, 0.0, 0.0])
+        want = np.array([np.prod(t[(chk == chk[i]) & (np.arange(t.size) != i)]) for i in range(t.size)])
+        want = np.clip(want, -(1 - 1e-14), 1 - 1e-14)
+        got = _check_pass(t, chk, code.m)
+        assert np.array_equal(got == 0, want == 0)
+        assert np.array_equal(np.signbit(got[got != 0]), np.signbit(want[want != 0]))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 class TestBpDecode:
     def test_noiseless_recovery_in_one_iteration(self):
         code = sample_bgm(16, 16, 0.2, seed=4)
@@ -58,6 +83,14 @@ class TestBpDecode:
         assert out.converged
         assert out.iterations_used == 1
         assert np.array_equal(out.hard_decision, u)
+
+    def test_code_without_parity_bits_passes_its_llrs_through(self):
+        code = SystematicCode(BitMatrix(3, 0, []))
+        llrs = np.array([1.5, -0.25, 0.0])
+        out = bp_decode(code, llrs)
+        assert (out.converged, out.iterations_used) == (True, 1)
+        assert np.array_equal(out.posterior, llrs)
+        assert np.array_equal(out.hard_decision, [0, 1, 1])
 
     def test_tree_instance_matches_exact_map(self):
         # path-shaped graph v0-c0-v1-c1-v2 has no cycles, so BP is exact.  The
