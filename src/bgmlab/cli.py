@@ -84,7 +84,10 @@ def _cmd_encode(args) -> int:
 
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: not valid JSON ({exc})")
     cfg = config_from_dict(raw)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -188,7 +191,10 @@ def _cmd_popdyn(args) -> int:
     if args.regular:
         law = regular_law(3 if args.dv is None else args.dv, 6 if args.dc is None else args.dc)
     elif graph:
-        law = law_from_graph(load_code(args.graph).g)
+        g = load_code(args.graph).g
+        if g.nnz() == 0:
+            raise ValueError(f"{args.graph}: G has no edges, so its normal graph has no degree law")
+        law = law_from_graph(g)
     else:
         law = law_from_ensemble(
             1024 if args.k is None else args.k,
@@ -292,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -202,54 +202,46 @@ def concat_decode(
 ):
     """Iterative decoding; returns the inner-message estimate.
 
-    Round structure: BP on the inner graph with the outer extrinsic as
-    a-priori on systematic bits, then one BCJR pass over all outer blocks
-    with priors equal to the BP posterior minus that a-priori.  The hard
-    decision always covers the inner message bits (the interleaved outer
-    codeword stream).  The outcome's `converged` and `iterations_used` are
-    those of the last round's inner BP: whether its decision reached an
-    inner codeword, and after how many iterations.
+    The receiver keeps one array, the outer code's clipped extrinsic in
+    outer-stream order (zeros in round 0).  Each round adds it to the LLRs
+    of the inner message bits it covers and runs BP; one BCJR pass over all
+    outer blocks then takes the BP posterior minus it as priors.  The hard
+    decision is in inner-message order.  The outcome's `converged` and
+    `iterations_used` are those of the last round's inner BP: whether its
+    decision reached an inner codeword, and after how many iterations.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     inner = system.inner
     if llrs.shape != (inner.k + inner.m,):
         raise ValueError(f"LLR length {llrs.shape} does not match {inner.k + inner.m}")
     trace = []
-    outer_extrinsic = np.zeros(inner.k)
+    prior = np.zeros(inner.k)  # what BP is told of the stream bits, beyond the channel
     for rnd in range(cfg.rounds):
         iters = cfg.first_round_bp_iters if rnd == 0 else cfg.later_bp_iters
-        bp_cfg = BpConfig(max_iterations=iters)
-        outcome = bp_decode(system.graph, llrs, bp_cfg, apriori=outer_extrinsic)
-        inner_extrinsic = outcome.posterior - outer_extrinsic
+        seen = llrs.copy()
+        seen[system.perm] += prior
+        outcome = bp_decode(system.graph, seen, BpConfig(max_iterations=iters))
 
-        # deinterleave to outer-stream order and decode every block at once
-        stream_prior = inner_extrinsic[system.perm]
+        # BP's extrinsic in outer-stream order; every block is decoded at once
+        stream_prior = outcome.posterior[system.perm] - prior
         stream_post = bcjr_decode(system.outer, stream_prior.reshape(system.blocks, -1)).reshape(-1)
-        stream_extrinsic = stream_post - stream_prior
-        new_outer_extrinsic = np.empty(inner.k)
-        new_outer_extrinsic[system.perm] = stream_extrinsic
         if return_trace:
             trace.append(
                 {
                     "round": rnd,
-                    "bp_apriori": outer_extrinsic,
                     "bp_posterior": outcome.posterior,
-                    "inner_extrinsic": inner_extrinsic,
                     "bcjr_prior": stream_prior,
                     "bcjr_posterior": stream_post,
-                    "outer_extrinsic": new_outer_extrinsic,
                 }
             )
-        outer_extrinsic = np.clip(new_outer_extrinsic, -LLR_CLAMP, LLR_CLAMP)
+        prior = np.clip(stream_post - stream_prior, -LLR_CLAMP, LLR_CLAMP)
 
     # final decision: outer posteriors mapped back to inner message order
-    stream_decision = hard_decision(stream_post)
     u_hat = np.empty(inner.k, dtype=np.uint8)
-    u_hat[system.perm] = stream_decision
+    u_hat[system.perm] = hard_decision(stream_post)
     final = DecodeOutcome(
         hard_decision=u_hat,
         converged=outcome.converged,
         iterations_used=outcome.iterations_used,
-        posterior=None,
     )
     return (final, trace) if return_trace else final

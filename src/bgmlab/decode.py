@@ -96,17 +96,15 @@ def bp_decode(
     graph: BpGraph | SystematicCode,
     llrs,
     cfg: BpConfig = BpConfig(),
-    apriori=None,
 ) -> DecodeOutcome:
-    """Flooding sum-product decoding from channel LLRs of length k + m.
+    """Flooding sum-product decoding from the codeword's k + m channel LLRs.
 
-    `apriori` optionally adds extrinsic LLRs on the k systematic positions
-    (used by the concatenated receiver).  The posterior field of the outcome
-    holds message-bit LLRs including channel and a-priori parts.  The
-    decision has converged when it is a codeword: the re-encoded message
-    decision matches the hard decisions of the parity posteriors (channel
-    LLR plus the whole check's extrinsic).  With early stopping, decoding
-    ends at the first iteration that converges.
+    BP reads nothing else: the concatenated receiver adds its outer
+    extrinsic to the systematic LLRs first.  The outcome's posterior holds
+    the message-bit LLRs.  The decision has converged when it is a codeword:
+    the re-encoded message decision matches the hard decisions of the parity
+    posteriors (channel LLR plus the whole check's extrinsic).  With early
+    stopping, decoding ends at the first iteration that converges.
     """
     if isinstance(graph, SystematicCode):
         graph = BpGraph(graph)
@@ -114,12 +112,7 @@ def bp_decode(
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.shape != (code.k + code.m,):
         raise ValueError(f"LLR length {llrs.shape} does not match n={code.k + code.m}")
-    l_sys = llrs[: code.k].copy()
-    if apriori is not None:
-        apriori = np.asarray(apriori, dtype=np.float64)
-        if apriori.shape != (code.k,):
-            raise ValueError("apriori length must equal k")
-        l_sys = l_sys + apriori
+    l_sys = llrs[: code.k]
     l_par = llrs[code.k :]
 
     e = graph.n_edges

@@ -260,6 +260,8 @@ def load_code(path) -> SystematicCode:
             meta = json.load(fh)
     except FileNotFoundError:
         pass
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}.json: not valid JSON ({exc})")
     if not isinstance(meta, dict):
         raise ValueError(f"{path}.json: the sidecar must be a JSON object")
     for key, size in (("k", g.rows), ("m", g.cols)):

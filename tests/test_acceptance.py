@@ -7,6 +7,7 @@ verdict survives in captured output either way.
 
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bgmlab.bounds import ber_lower_bound, fer_lower_bound
 from bgmlab.channel import ldpc_threshold_bound, Bec
 from bgmlab.concat import bcjr_decode, extended_hamming
 from bgmlab.ensemble import iowef, rho_omega, sample_bgm
+from bgmlab.graph import GraphGenerationError
 from bgmlab.popdyn import popdyn_run, regular_law
 from bgmlab.rng import make_rng
 from bgmlab.sim import build_code, run_campaign
@@ -32,6 +34,11 @@ import waterfall_gain
 def verdict(num, ok, detail):
     print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} ({detail})")
     return ok
+
+
+def number(value, spec):
+    """`value` formatted by `spec`, or "none" when the experiment gave no number."""
+    return "none" if value is None else format(value, spec)
 
 
 class TestCriterion01Threshold:
@@ -170,7 +177,8 @@ class TestCriterion06AssortativityTargeting:
         assert verdict(
             6,
             ok,
-            f"r*={r_star:+.1f}: r_measured={r_measured:+.4f}, degrees preserved={degrees_ok}, {elapsed:.0f}s",
+            f"r*={r_star:+.1f}: r_measured={number(r_measured, '+.4f')}, "
+            f"degrees preserved={degrees_ok}, {elapsed:.0f}s",
         )
 
 
@@ -191,9 +199,31 @@ class TestCriterion07DisassortativeGain:
         assert verdict(
             7,
             ok,
-            f"1e-3 crossings neg/neutral/pos = {neg:.2f}/{neutral:.2f}/{pos:.2f} dB, "
-            f"gain {gain:.2f} dB, assortative worse={ordered}, {elapsed:.0f}s",
+            f"1e-3 crossings neg/neutral/pos = "
+            f"{number(neg, '.2f')}/{number(neutral, '.2f')}/{number(pos, '.2f')} dB, "
+            f"gain {number(gain, '.2f')} dB, assortative worse={ordered}, {elapsed:.0f}s",
         )
+
+
+class TestVerdictWithoutANumber:
+    # a criterion whose experiment gives no number still prints its FAIL line
+    def test_criterion_6_without_a_graph(self, monkeypatch, capsys):
+        failure = GraphGenerationError("no graph met the request")
+        monkeypatch.setattr(assortativity_study, "build", lambda d1, d2, target: (None, None, failure))
+        with pytest.raises(AssertionError):
+            TestCriterion06AssortativityTargeting().test_target(-0.1)
+        out = capsys.readouterr().out
+        assert "criterion 06: FAIL (r*=-0.1: r_measured=none, degrees preserved=False" in out
+
+    def test_criterion_7_without_a_crossing(self, monkeypatch, capsys):
+        names = ("disassortative", "neutral", "assortative")
+        flat = [0.5] * len(waterfall_gain.GRID)  # never reaches 1e-3
+        monkeypatch.setattr(waterfall_gain, "build_graphs", lambda: dict.fromkeys(names, SimpleNamespace(graph=None)))
+        monkeypatch.setattr(waterfall_gain, "waterfalls", lambda graphs: dict.fromkeys(graphs, flat))
+        with pytest.raises(AssertionError):
+            TestCriterion07DisassortativeGain().test_waterfall_ordering_and_gain()
+        out = capsys.readouterr().out
+        assert "criterion 07: FAIL (1e-3 crossings neg/neutral/pos = none/none/none dB, gain none dB" in out
 
 
 class TestCriterion08PopulationDynamicsOracle:

@@ -431,6 +431,16 @@ class TestPopdynCommand:
             assert code == 2
             assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ("3 3\n\n\n\n", "4 0\n\n\n\n\n"), ids=("empty-rows", "no-columns"))
+    def test_code_without_edges_exits_two_naming_it(self, capsys, tmp_path, text):
+        path = tmp_path / "edgeless.txt"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "popdyn", "--graph", str(path), "--channel", "bec", "--param", "0.2",
+            "--population", "200", "--iterations", "1", "--seed", "1",
+        )
+        assert (code, out, err) == (2, "", f"error: {path}: G has no edges, so its normal graph has no degree law\n")
+
 
 class TestGraphgenPipeline:
     def test_one_file_feeds_simulate_bounds_and_popdyn(self, capsys, tmp_path):
@@ -512,6 +522,35 @@ class TestZeroRowCode:
         before = sorted(tmp_path.iterdir())
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {path}: the matrix has no rows, so the code carries no message bits\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+
+class TestMalformedJson:
+    """A code sidecar or a campaign config cut short is not valid JSON: it
+    is refused in one line naming the file, and nothing is written."""
+
+    @pytest.mark.parametrize("command", ("encode", "bounds", "simulate", "simulate-config"))
+    def test_refused_naming_the_file(self, capsys, tmp_path, command):
+        path = str(tmp_path / "code.txt")
+        save_code(SystematicCode(BitMatrix(4, 2, [(0, 0), (3, 1)])), path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "code": {"construction": "graph-file", "path": path}, "channel": {"type": "awgn"},
+            "sweep": [0.8], "stop": {"max_frames": 4},
+        }))
+        bad = cfg if command == "simulate-config" else Path(f"{path}.json")
+        bad.write_text(bad.read_text()[:9])
+        simulate = ("simulate", "--config", str(cfg), "--out", str(tmp_path / "run.csv"))
+        argv = {
+            "encode": ("encode", "--code", path, "--message", "1011"),
+            "bounds": ("bounds", "--code", path, "--sigma", "0.8"),
+            "simulate": simulate,
+            "simulate-config": simulate,
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: not valid JSON (") and err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == before
 
 

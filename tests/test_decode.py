@@ -200,14 +200,6 @@ class TestBpDecode:
             base.posterior * (1.0 - 2.0 * u), abs=1e-9
         )
 
-    def test_apriori_pins_the_message(self):
-        code = sample_bgm(16, 16, 0.2, seed=6)
-        u = make_rng(4, "msg").integers(0, 2, size=16).astype(np.uint8)
-        noisy = np.zeros(32)  # channel says nothing at all
-        strong = 25.0 * (1.0 - 2.0 * u)
-        out = bp_decode(code, noisy, apriori=strong)
-        assert np.array_equal(out.hard_decision, u)
-
     def test_iterations_bounded(self):
         code = sample_bgm(8, 8, 0.25, seed=3)
         out = bp_decode(code, np.zeros(16), BpConfig(max_iterations=5))
@@ -217,8 +209,6 @@ class TestBpDecode:
         code = sample_bgm(8, 8, 0.25, seed=3)
         with pytest.raises(ValueError):
             bp_decode(code, np.zeros(15))
-        with pytest.raises(ValueError):
-            bp_decode(code, np.zeros(16), apriori=np.zeros(7))
 
 
 class TestMldExhaustive:
