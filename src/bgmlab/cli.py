@@ -34,7 +34,7 @@ from .ensemble import (
     sample_fixed_row_weight,
     save_code,
 )
-from .gf2 import bits_from_string, bits_to_string
+from .gf2 import bits_from_string, bits_to_string, read_text
 from .graph import GraphGenerationError, configuration_model
 from .popdyn import law_from_ensemble, law_from_graph, popdyn_run, regular_law
 from .rng import fresh_seed
@@ -83,11 +83,10 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.config) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: not valid JSON ({exc})")
+    try:
+        raw = json.loads(read_text(args.config))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.config}: not valid JSON ({exc})")
     cfg = config_from_dict(raw)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -142,8 +141,7 @@ def _cmd_threshold(args) -> int:
 
 def _degrees(path) -> np.ndarray:
     """The degrees in a text file, one per line; '#' starts a comment."""
-    with open(path) as fh:
-        tokens = [t for line in fh for t in line.split("#", 1)[0].split()]
+    tokens = [t for line in read_text(path).splitlines() for t in line.split("#", 1)[0].split()]
     if not tokens or not all(t.isdecimal() for t in tokens):
         raise ValueError(f"{path}: expected one non-negative integer degree per line")
     return np.array([int(t) for t in tokens], dtype=np.int64)

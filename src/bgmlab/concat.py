@@ -48,6 +48,7 @@ class ExtendedHammingCode:
     column_syndromes: np.ndarray = field(init=False, repr=False)
     generator: BitMatrix = field(init=False, repr=False)
     info: np.ndarray = field(init=False, repr=False)
+    trellis_flips: np.ndarray = field(init=False, repr=False)
     _gen_dense: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -73,6 +74,8 @@ class ExtendedHammingCode:
         gen[:, parity] = (masks[:, None] >> np.arange(len(parity))) & 1
         self._gen_dense = gen
         self.generator = BitMatrix.from_dense(gen)
+        # BCJR sweep step i's moved states, forward over section i and backward over n - 1 - i
+        self.trellis_flips = np.arange(2 * self.n) ^ np.stack([syn, syn[::-1]], axis=1)[:, :, None]
 
     def encode(self, messages) -> np.ndarray:
         """Codewords (..., n) of one message or a (..., k) stack of them."""
@@ -93,10 +96,14 @@ def bcjr_decode(code: ExtendedHammingCode, prior_llrs) -> np.ndarray:
     over every block of a (..., n) stack of finite priors.  The state after
     t sections is the partial syndrome of the first t bits, one of 2n
     values, and a 1 at bit t moves it by `column_syndromes[t]`; codewords
-    are the 0 -> 0 paths.  Branch metrics are +/- L/2 per bit so
-    per-section constants cancel in the posteriors.  One sweep of n - 1
-    steps walks both recursions: step i moves the forward metrics over
-    section i and the backward metrics over section n - 1 - i.
+    are the 0 -> 0 paths.  One sweep of n - 1 steps walks both recursions:
+    step i moves the forward metrics over section i and the backward
+    metrics over section n - 1 - i.  Each metric is offset by the sum of
+    L/2 over the bits it covers, the same for every state, so the offsets
+    cancel in the posteriors; a 0 then costs nothing and a 1 costs -L, and
+    a step is one gather of the moved states, one subtract of L and one
+    logaddexp.  No step renormalises: the metrics stay within the sum of
+    |L|, and the final log-sum-exp takes each side's own peak.
     """
     n, states = code.n, 2 * code.n
     priors = np.asarray(prior_llrs, dtype=np.float64)
@@ -104,34 +111,30 @@ def bcjr_decode(code: ExtendedHammingCode, prior_llrs) -> np.ndarray:
         raise ValueError(f"prior shape {priors.shape} does not end in n={n}")
     if not np.isfinite(priors).all():
         raise ValueError("prior LLRs must be finite")
-    half = 0.5 * priors.reshape(-1, n).T[:, :, None]  # (section, block, 1)
-    blocks = half.shape[1]
+    llr = priors.reshape(-1, n).T  # (section, block)
+    blocks = llr.shape[1]
+    steps = np.stack([llr, llr[::-1]], axis=1)[..., None]  # step i's (forward, backward) L, (step, 2, block, 1)
     # metrics[i] stacks alpha_i and beta_(n-i), each (blocks, states)
     metrics = np.full((n, 2, blocks, states), -np.inf)
     metrics[0, :, :, 0] = 0.0
-    sections = np.stack([np.arange(n), np.arange(n)[::-1]], axis=1)  # step i's (forward, backward) section
-    steps = half[sections]  # (step, direction, block, 1)
-    flips = np.arange(states) ^ code.column_syndromes[:, None]  # state s, moved by a 1 at section t
-    # flat index into metrics: entry (i, d, b, s) reads metrics[i, d, b, flips[sections[i, d], s]]
-    rows = np.arange(n * 2 * blocks).reshape(n, 2, blocks, 1) * states
-    gather = rows + flips[sections][:, :, None, :]
+    # flat index into metrics: entry (i, d, b, s) reads metrics[i, d, b, s ^ (step i's syndrome in direction d)]
+    gather = np.arange(n * 2 * blocks).reshape(n, 2, blocks, 1) * states + code.trellis_flips[:, :, None, :]
     flat = metrics.reshape(-1)
     for i in range(n - 1):
-        h = steps[i]
-        np.logaddexp(metrics[i] + h, flat[gather[i]] - h, out=metrics[i + 1])
-        metrics[i + 1] -= metrics[i + 1].max(axis=-1, keepdims=True)
+        moved = flat.take(gather[i])
+        moved -= steps[i]
+        np.logaddexp(metrics[i], moved, out=metrics[i + 1])
 
     # section t joins alpha_t with beta_(t+1), the backward metrics of step n - 1 - t
-    alpha, beta = metrics[:, 0], metrics[::-1, 1]
-    moved = flat[gather[::-1, 1]]
-    posterior = _logsumexp(alpha + half + beta) - _logsumexp(alpha - half + moved)
-    return posterior.T.reshape(priors.shape)
-
-
-def _logsumexp(values: np.ndarray) -> np.ndarray:
-    """peak + log sum exp(values - peak) over the last axis."""
-    peak = values.max(axis=-1)
-    return peak + np.log(np.exp(values - peak[..., None]).sum(axis=-1))
+    alpha = metrics[:, 0]
+    sides = np.empty((2, n, blocks, states))
+    np.add(alpha, metrics[::-1, 1], out=sides[0])
+    np.add(alpha, flat.take(gather[::-1, 1]), out=sides[1])
+    sides[1] -= llr[:, :, None]
+    peak = sides.max(axis=-1, keepdims=True)
+    sides -= peak
+    totals = np.log(np.exp(sides, out=sides).sum(axis=-1)) + peak[..., 0]
+    return (totals[0] - totals[1]).T.reshape(priors.shape)
 
 
 @dataclass(frozen=True)
@@ -226,15 +229,9 @@ def concat_decode(
         stream_prior = outcome.posterior[system.perm] - prior
         stream_post = bcjr_decode(system.outer, stream_prior.reshape(system.blocks, -1)).reshape(-1)
         if return_trace:
-            trace.append(
-                {
-                    "round": rnd,
-                    "bp_posterior": outcome.posterior,
-                    "bcjr_prior": stream_prior,
-                    "bcjr_posterior": stream_post,
-                }
-            )
-        prior = np.clip(stream_post - stream_prior, -LLR_CLAMP, LLR_CLAMP)
+            trace.append({"round": rnd, "bp_posterior": outcome.posterior,
+                          "bcjr_prior": stream_prior, "bcjr_posterior": stream_post})
+        prior = (stream_post - stream_prior).clip(-LLR_CLAMP, LLR_CLAMP)
 
     # final decision: outer posteriors mapped back to inner message order
     u_hat = np.empty(inner.k, dtype=np.uint8)

@@ -70,26 +70,26 @@ def _check_pass(t, chk, m):
 
     `t` holds the factors' tanh values and `chk` their checks.  Works in
     sign/log-magnitude form: the log magnitudes and the sign parities are
-    summed per check, and each product takes its own factor back out.  A
-    factor of magnitude under 1e-300 (an erasure) adds 0 to the log sum and
-    1 to its check's zero count instead; a product is 0 when its check
-    counts a zero factor other than its own.  The counts are taken only
-    when some factor is zero.
+    summed per check, and each product takes its own factor back out; its
+    sign comes back by one multiply by +/-1.0, which is exact.  A factor of
+    magnitude under 1e-300 (an erasure) adds 0 to the log sum and 1 to its
+    check's zero count instead; a product is 0 when its check counts a zero
+    factor other than its own, counted only when some factor is zero.
     """
     mag = np.abs(t)
     zero = mag < 1e-300
     mag[zero] = 1.0
     logmag = np.log(mag, out=mag)
     neg = t < 0.0
-    chk_odd = (np.bincount(chk[neg], minlength=m) & 1) == 1
+    chk_odd = np.bincount(chk[neg], minlength=m) & 1
 
     # a new array, not -=: the bincount of no factors (a code with m = 0) is int64
     log = np.bincount(chk, weights=logmag, minlength=m)[chk] - logmag
     prod = np.exp(log, out=log)
     if zero.any():
         prod[np.bincount(chk[zero], minlength=m)[chk] - zero > 0] = 0.0
-    prod = np.where(chk_odd[chk] ^ neg, -prod, prod)
-    return np.clip(prod, -_ATANH_LIMIT, _ATANH_LIMIT, out=prod)
+    prod *= 1.0 - 2.0 * (chk_odd[chk] ^ neg)
+    return prod.clip(-_ATANH_LIMIT, _ATANH_LIMIT, out=prod)
 
 
 def bp_decode(
@@ -117,13 +117,13 @@ def bp_decode(
 
     e = graph.n_edges
     t = np.empty(e + code.m)  # the edges' tanh messages, then the parity observations'
-    np.tanh(0.5 * np.clip(l_par, -LLR_CLAMP, LLR_CLAMP), out=t[e:])
+    np.tanh(0.5 * l_par.clip(-LLR_CLAMP, LLR_CLAMP), out=t[e:])
     v2c = l_sys[graph.edge_var]
 
     for iterations in range(1, cfg.max_iterations + 1):
-        np.tanh(0.5 * np.clip(v2c, -LLR_CLAMP, LLR_CLAMP), out=t[:e])
+        np.tanh(0.5 * v2c.clip(-LLR_CLAMP, LLR_CLAMP), out=t[:e])
         ext = 2.0 * np.arctanh(_check_pass(t, graph.factor_chk, code.m))
-        c2v = np.clip(ext[:e], -LLR_CLAMP, LLR_CLAMP)
+        c2v = ext[:e].clip(-LLR_CLAMP, LLR_CLAMP)
 
         var_tot = np.bincount(graph.edge_var, weights=c2v, minlength=code.k)
         posterior = l_sys + var_tot

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .gf2 import BitMatrix, load_matrix, mat_vec_mul, rank, save_matrix
+from .gf2 import BitMatrix, load_matrix, mat_vec_mul, rank, read_text, save_matrix
 from .rng import make_rng
 
 __all__ = [
@@ -256,8 +256,7 @@ def load_code(path) -> SystematicCode:
         raise ValueError(f"{path}: the matrix has no rows, so the code carries no message bits")
     meta = {}
     try:
-        with open(f"{path}.json") as fh:
-            meta = json.load(fh)
+        meta = json.loads(read_text(f"{path}.json"))
     except FileNotFoundError:
         pass
     except json.JSONDecodeError as exc:

@@ -9,6 +9,8 @@ available for small matrices and oracle work.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 __all__ = [
@@ -19,6 +21,7 @@ __all__ = [
     "rank",
     "save_matrix",
     "load_matrix",
+    "read_text",
 ]
 
 
@@ -148,9 +151,18 @@ def save_matrix(m: BitMatrix, path) -> None:
             fh.write("\n")
 
 
+def read_text(path) -> str:
+    """A text file's contents; a file that is not UTF-8 is refused in a line naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_matrix(path) -> BitMatrix:
     """Read the text format; a row may list its columns in any order."""
-    with open(path) as fh:
+    with io.StringIO(read_text(path)) as fh:
         header = fh.readline().split()
         if len(header) != 2 or not all(t.isdecimal() for t in header):
             raise ValueError(f"{path}: bad header, expected 'rows cols'")

@@ -119,7 +119,8 @@ def _checked(block, keys: dict, name: str) -> dict:
 
 def _checked_code(spec: dict) -> dict:
     """A code block's values, checked against its construction's row (and
-    a concat block's inner block, which must name a plain code, against its own)."""
+    a concat block's inner block, which must name a plain code, against its
+    own; a concat block's values hold its inner block's values)."""
     kind = spec.get("construction") if isinstance(spec, dict) else None
     if not isinstance(kind, str) or kind not in _CODE_KEYS:
         raise ValueError(f"unknown code construction {kind!r}")
@@ -128,7 +129,7 @@ def _checked_code(spec: dict) -> dict:
         inner = values["inner"].get("construction")
         if inner not in ("bgm", "fixed-row-weight", "graph-file"):
             raise ValueError(f"concat inner code must be bgm, fixed-row-weight or graph-file, got {inner!r}")
-        _checked_code(values["inner"])
+        values["inner"] = _checked_code(values["inner"])
     return values
 
 
@@ -248,7 +249,11 @@ def build_code(spec: dict) -> SystematicCode | ConcatSystem | None:
     channel with hard decisions), and a ConcatSystem for the concat
     construction, whose "inner" block names a plain systematic code.
     """
-    c = _checked_code(spec)
+    return _materialized(_checked_code(spec))
+
+
+def _materialized(c: dict) -> SystematicCode | ConcatSystem | None:
+    """The code of a code block's checked values."""
     kind = c["construction"]
     if kind == "bgm":
         return sample_bgm(c["k"], c["m"], c["rho"], c["seed"])
@@ -257,7 +262,7 @@ def build_code(spec: dict) -> SystematicCode | ConcatSystem | None:
     if kind == "graph-file":
         return load_code(c["path"])
     if kind == "concat":
-        inner = build_code(c["inner"])
+        inner = _materialized(c["inner"])
         if c["outer_r"] >= 2:  # before extended_hamming builds 2^outer_r columns (below 2 it refuses r)
             check_outer_stream(c["blocks"], 2 ** c["outer_r"], inner.k)
         return ConcatSystem(extended_hamming(c["outer_r"]), c["blocks"], inner, interleaver_seed=c["interleaver_seed"])
@@ -275,14 +280,14 @@ class _System:
 
 
 def _build_system(cfg: SimConfig) -> _System:
-    # encode, bp_decode, ... are looked up at call time, so wrappers set on
-    # this module (tracing, tests) see every call
-    spec = _checked_code(cfg.code)
+    # build_code, encode, bp_decode, ... are looked up at call time, so
+    # wrappers set on this module (tracing, tests) see every call.  SimConfig
+    # checked cfg.code, so its keys are read as they are, defaults left to ConcatConfig
     code = build_code(cfg.code)
     if code is None:
-        return _System(spec["k"], None, lambda u: u, lambda llrs: DecodeOutcome(hard_decision(llrs), True, 0))
+        return _System(cfg.code["k"], None, lambda u: u, lambda llrs: DecodeOutcome(hard_decision(llrs), True, 0))
     if isinstance(code, ConcatSystem):
-        rx = ConcatConfig(rounds=spec["rounds"], first_round_bp_iters=spec["first_round_bp_iters"])
+        rx = ConcatConfig(**{key: cfg.code[key] for key in ("rounds", "first_round_bp_iters") if key in cfg.code})
         shape = (code.blocks, code.outer.k)
 
         def decode_concat(llrs):

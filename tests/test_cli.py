@@ -554,6 +554,39 @@ class TestMalformedJson:
         assert sorted(tmp_path.iterdir()) == before
 
 
+class TestNotUtf8:
+    """A code matrix, sidecar, campaign config or degree file holding a byte
+    that is not UTF-8 is refused in one line naming the file, and nothing
+    is written."""
+
+    @pytest.mark.parametrize("command", ("encode", "bounds", "simulate", "simulate-code", "graphgen"))
+    def test_refused_naming_the_file(self, capsys, tmp_path, command):
+        path = str(tmp_path / "code.txt")
+        save_code(SystematicCode(BitMatrix(4, 2, [(0, 0), (3, 1)])), path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "code": {"construction": "graph-file", "path": path}, "channel": {"type": "awgn"},
+            "sweep": [0.8], "stop": {"max_frames": 4},
+        }))
+        degrees = tmp_path / "var.txt"
+        degrees.write_text("2\n2\n")
+        simulate = ("simulate", "--config", str(cfg), "--out", str(tmp_path / "run.csv"))
+        argv, bad = {
+            "encode": (("encode", "--code", path, "--message", "1011"), Path(path)),
+            "bounds": (("bounds", "--code", path, "--sigma", "0.8"), Path(f"{path}.json")),
+            "simulate": (simulate, cfg),
+            "simulate-code": (simulate, Path(path)),
+            "graphgen": (("graphgen", "--var-degrees", str(degrees), "--chk-degrees", str(degrees),
+                          "--r-star", "0.0", "--seed", "0", "--out", str(tmp_path / "g.txt")), degrees),
+        }[command]
+        bad.write_bytes(b"\xff" + bad.read_bytes())  # no UTF-8 sequence starts with 0xff
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+
 class TestExponentCommand:
     def test_capacity_mode(self, capsys):
         code, out, _ = run_cli(

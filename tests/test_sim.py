@@ -149,6 +149,16 @@ class TestBuildCode:
         with pytest.raises(ValueError, match="^concat inner code must be bgm, fixed-row-weight or graph-file, got 'uncoded'$"):
             build_code({**CONCAT_8_32, "inner": {"construction": "uncoded", "k": 16}})
 
+    def test_campaign_checks_a_concat_block_once(self, monkeypatch):
+        # SimConfig checks the block, and run_campaign checks it once more to build
+        # from: one top-level call, and one for the inner block it recurses into
+        cfg = SimConfig(CONCAT_8_32, {"type": "awgn"}, (0.8,), stop=StopRule(max_frames=2))
+        checked = []
+        real = sim._checked_code
+        monkeypatch.setattr(sim, "_checked_code", lambda spec: checked.append(spec) or real(spec))
+        run_campaign(cfg)
+        assert checked == [cfg.code, cfg.code["inner"]]
+
     def test_unknown_construction(self):
         with pytest.raises(ValueError):
             build_code({"construction": "polar"})
